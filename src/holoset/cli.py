@@ -27,9 +27,11 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from .close_pair import (
+    ApproximationSearchError,
     ConfigError,
     IncompleteExpansionError,
     RatioRationalError,
+    VerificationError,
     WidthPreconditionError,
     close_pair,
     load_cylinder_pair,
@@ -435,6 +437,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         CertificateError,
         ParseError,
         IncompleteExpansionError,
+        ApproximationSearchError,
+        VerificationError,
         OSError,
         ValueError,
     ) as exc:

@@ -40,6 +40,14 @@ class IncompleteExpansionError(RuntimeError):
     """Continued fraction period not found within the term budget."""
 
 
+class ApproximationSearchError(RuntimeError):
+    """inhom_approx found no solution within its search budget."""
+
+
+class VerificationError(RuntimeError):
+    """The candidate pair failed the exact distance check against r."""
+
+
 class ConfigError(ValueError):
     """Malformed cylinder-pair configuration."""
 
@@ -243,7 +251,9 @@ def inhom_approx(
         res = c_q + m - lam_q * mp
         if (res * res).compare(eps_sq) < 0:
             return m, mp
-    raise RuntimeError("approximation search failed; eps too small for budget")
+    raise ApproximationSearchError(
+        "approximation search failed; eps too small for budget"
+    )
 
 
 Vec = tuple[QuadExt, QuadExt]
@@ -394,7 +404,7 @@ def close_pair(ci: Cylinder, cj: Cylinder, r) -> ClosePairResult:
     diff = (v1[0] - v2[0], v1[1] - v2[1])
     dist_sq = _dot_rs(diff, diff)
     if (dist_sq - r * r).sign() >= 0:
-        raise RuntimeError("verification failed: pair not within r")
+        raise VerificationError("verification failed: pair not within r")
     dist, dist_err = _dist_with_error(dist_sq)
     return ClosePairResult(n0, n0p, v1, v2, dist, dist_err)
 

@@ -15,9 +15,6 @@ from fractions import Fraction
 from math import isqrt, ulp
 from typing import Callable, Iterable, Optional, Sequence
 
-import numpy as np
-from scipy.spatial import cKDTree
-
 from .exact import (
     PlanarPoint,
     PointSet,
@@ -205,6 +202,11 @@ def covering_radius(
     true largest-empty-disk radius over the window.  Ties go to the
     first center in x-major order.
     """
+    # numpy and scipy load here, not at module level, so subcommands
+    # that never search a covering radius start without them
+    import numpy as np
+    from scipy.spatial import cKDTree
+
     points = ps.points
     if not points:
         raise ValueError("point set is empty")

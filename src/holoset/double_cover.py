@@ -29,7 +29,6 @@ from .coprime import coprime_points
 TAG_UU = "UU"
 TAG_UV = "UV"
 TAG_VU = "VU"
-TAG_VV = "VV"
 
 
 @dataclass(frozen=True)

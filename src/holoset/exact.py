@@ -325,6 +325,8 @@ class QuadExt:
         return value, bound
 
     def __float__(self) -> float:
+        if self.b == 0:  # to_float()[0] without building an error bound
+            return float(self.a)
         return self.to_float()[0]
 
 

@@ -3,9 +3,11 @@
 import json
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
+from holoset import close_pair as close_pair_mod
 from holoset.cli import main
 from holoset.exact import parse_quadext, read_pointset_csv
 
@@ -207,6 +209,25 @@ def test_close_pair_bad_config_exits_two(tmp_path, capsys):
     assert "object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "error",
+    [
+        close_pair_mod.ApproximationSearchError("approximation search failed"),
+        close_pair_mod.VerificationError("verification failed"),
+    ],
+)
+def test_close_pair_search_failures_exit_two(tmp_path, capsys, monkeypatch, error):
+    def failing(*_args):
+        raise error
+
+    monkeypatch.setattr("holoset.cli.close_pair", failing)
+    path = write_json(tmp_path / "pair.json", GOLDEN_PAIR)
+    assert run("close-pair", path, "--radius", "0.01") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
+
+
 # -- diagnose ------------------------------------------------------------------
 
 
@@ -369,3 +390,21 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert len(data_rows(proc.stdout)) == 4
+
+
+def test_subcommands_without_diagnose_do_not_import_numpy_or_scipy():
+    script = textwrap.dedent(
+        """
+        import sys
+        from holoset.cli import main
+        assert main(["coprime", "--radius", "5"]) == 0
+        heavy = sorted({m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"})
+        print(heavy, file=sys.stderr)
+        sys.exit(1 if heavy else 0)
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len(data_rows(proc.stdout)) > 0

@@ -80,6 +80,54 @@ def test_to_float_sqrt2_shift():
     assert err <= 1e-15
 
 
+RATIONAL_FLOAT_CASES = [
+    0,
+    1,
+    -1,
+    Fraction(1, 3),
+    Fraction(-7, 10**30),
+    2**53 + 1,
+    10**20 + Fraction(1, 7),
+]
+
+
+def _count_to_float_calls(monkeypatch) -> list:
+    calls = []
+    original = QuadExt.to_float
+
+    def spy(self, precision_bits=53):
+        calls.append(self)
+        return original(self, precision_bits)
+
+    monkeypatch.setattr(QuadExt, "to_float", spy)
+    return calls
+
+
+@pytest.mark.parametrize("q", RATIONAL_FLOAT_CASES)
+def test_float_of_rational_matches_to_float(q, monkeypatch):
+    u = QuadExt(q)
+    want = u.to_float()[0]
+    calls = _count_to_float_calls(monkeypatch)
+    got = float(u)
+    assert got == want and type(got) is float
+    assert calls == []  # rationals skip the error-bound machinery
+
+
+def test_float_of_huge_rational_overflows_like_to_float():
+    u = QuadExt(Fraction(10**400, 3))
+    with pytest.raises(OverflowError):
+        float(u)
+    with pytest.raises(OverflowError):
+        u.to_float()
+
+
+def test_float_of_irrational_goes_through_to_float(monkeypatch):
+    u = QuadExt(1, 1, 2)
+    calls = _count_to_float_calls(monkeypatch)
+    assert float(u) == u.to_float()[0]
+    assert calls == [u, u]
+
+
 def test_to_float_error_bound_contract():
     rng = random.Random(7)
     for _ in range(300):
