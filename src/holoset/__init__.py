@@ -24,7 +24,6 @@ from .exact import (
     quad_add,
     quad_mul,
     quad_sign,
-    radical_sum_sign,
     to_float,
 )
 
@@ -44,7 +43,6 @@ __all__ = [
     "quad_add",
     "quad_mul",
     "quad_sign",
-    "radical_sum_sign",
     "to_float",
     "__version__",
 ]

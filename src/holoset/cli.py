@@ -20,11 +20,10 @@ import os
 import re
 import sys
 import tempfile
-from dataclasses import dataclass
 from fractions import Fraction
 from io import StringIO
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .close_pair import (
     ApproximationSearchError,
@@ -72,28 +71,6 @@ SIZE_CAP_DIGITS = 500
 
 SVG_CANVAS = 800
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One parsed invocation, normalized across subcommands."""
-
-    subcommand: str
-    input_path: Optional[str] = None
-    out_path: Optional[str] = None
-    radius: Optional[Fraction] = None
-    max_gcd: int = 1
-    marked: bool = False
-    oracle: bool = False
-    window: Optional[tuple] = None
-    resolution: Optional[Fraction] = None
-    radii: Optional[tuple] = None
-    point_size: float = 2.0
-    axis_range: Optional[tuple] = None
-
-    def __post_init__(self):
-        if self.point_size <= 0:
-            raise ValueError("point size must be positive")
 
 
 def _fraction_arg(text: str) -> Fraction:
@@ -155,16 +132,16 @@ def _read_points(path: str) -> PointSet:
 # -- subcommands ---------------------------------------------------------------
 
 
-def cmd_enumerate(cfg: RunConfig) -> int:
-    o = Origami.from_path(cfg.input_path)
-    ps = enumerate_holonomies(o, cfg.radius, marked=cfg.marked)
-    _emit(_csv_text(ps), cfg.out_path)
+def cmd_enumerate(args: argparse.Namespace) -> int:
+    o = Origami.from_path(args.input_path)
+    ps = enumerate_holonomies(o, args.radius, marked=args.marked)
+    _emit(_csv_text(ps), args.out)
     return EXIT_OK
 
 
-def cmd_coprime(cfg: RunConfig) -> int:
-    ps = gcd_filtered_points(cfg.max_gcd, cfg.radius)
-    _emit(_csv_text(ps), cfg.out_path)
+def cmd_coprime(args: argparse.Namespace) -> int:
+    ps = gcd_filtered_points(args.max_gcd, args.radius)
+    _emit(_csv_text(ps), args.out)
     return EXIT_OK
 
 
@@ -183,35 +160,35 @@ def _certificate_digit_estimate(max_gcd: int, radius: Fraction) -> int:
     return int(m * per_prime / math.log(10)) + 1
 
 
-def cmd_hole(cfg: RunConfig) -> int:
-    estimate = _certificate_digit_estimate(cfg.max_gcd, cfg.radius)
+def cmd_hole(args: argparse.Namespace) -> int:
+    estimate = _certificate_digit_estimate(args.max_gcd, args.radius)
     if estimate > SIZE_CAP_DIGITS:
         raise CertificateError(
             f"refusing to build certificate: CRT moduli would have roughly "
             f"{estimate} digits (cap is {SIZE_CAP_DIGITS}); use a smaller "
             f"radius"
         )
-    cert = crt_hole(cfg.max_gcd, cfg.radius)
+    cert = crt_hole(args.max_gcd, args.radius)
     report = verify_hole(cert)
     doc = {
         "certificate": cert.to_json_dict(),
         "digits": {"x": len(str(cert.x)), "y": len(str(cert.y))},
         "verification": report.to_json_dict(),
     }
-    _emit(_json_text(doc), cfg.out_path)
+    _emit(_json_text(doc), args.out)
     return EXIT_OK if report.passed else EXIT_INVALID
 
 
-def cmd_example(cfg: RunConfig) -> int:
-    build = geometric_oracle if cfg.oracle else closed_form
-    ps = build(None, cfg.radius)
-    _emit(_csv_text(ps), cfg.out_path)
+def cmd_example(args: argparse.Namespace) -> int:
+    build = geometric_oracle if args.oracle else closed_form
+    ps = build(None, args.radius)
+    _emit(_csv_text(ps), args.out)
     return EXIT_OK
 
 
-def cmd_close_pair(cfg: RunConfig) -> int:
-    ci, cj = load_cylinder_pair(cfg.input_path)
-    res = close_pair(ci, cj, cfg.radius)
+def cmd_close_pair(args: argparse.Namespace) -> int:
+    ci, cj = load_cylinder_pair(args.input_path)
+    res = close_pair(ci, cj, args.radius)
     doc = {
         "n0": res.n0,
         "n0_prime": res.n0p,
@@ -220,20 +197,20 @@ def cmd_close_pair(cfg: RunConfig) -> int:
         "dist": res.dist,
         "dist_err": res.dist_err,
     }
-    _emit(_json_text(doc), cfg.out_path)
+    _emit(_json_text(doc), args.out)
     return EXIT_OK
 
 
-def cmd_diagnose(cfg: RunConfig) -> int:
-    ps = _read_points(cfg.input_path)
-    report = delone_report(ps, cfg.window, cfg.resolution, cfg.radii)
-    _emit(_json_text(report_to_json_dict(report)), cfg.out_path)
+def cmd_diagnose(args: argparse.Namespace) -> int:
+    ps = _read_points(args.input_path)
+    report = delone_report(ps, args.window, args.resolution, args.radii)
+    _emit(_json_text(report_to_json_dict(report)), args.out)
     return EXIT_OK
 
 
-def cmd_plot(cfg: RunConfig) -> int:
-    ps = _read_points(cfg.input_path)
-    _emit(render_svg(ps, cfg.point_size, cfg.axis_range), cfg.out_path)
+def cmd_plot(args: argparse.Namespace) -> int:
+    ps = _read_points(args.input_path)
+    _emit(render_svg(ps, args.point_size, args.axis_range), args.out)
     return EXIT_OK
 
 
@@ -307,16 +284,6 @@ def render_svg(ps: PointSet, point_size: float = 2.0, axis_range=None) -> str:
 
 # -- wiring --------------------------------------------------------------------
 
-_COMMANDS: dict[str, Callable[[RunConfig], int]] = {
-    "enumerate": cmd_enumerate,
-    "coprime": cmd_coprime,
-    "hole": cmd_hole,
-    "example": cmd_example,
-    "close-pair": cmd_close_pair,
-    "diagnose": cmd_diagnose,
-    "plot": cmd_plot,
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -328,6 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "enumerate", help="holonomy vectors of a square-tiled surface"
     )
+    p.set_defaults(func=cmd_enumerate)
     p.add_argument(
         "input_path", metavar="origami", help="path to origami JSON {n, h, v}"
     )
@@ -340,6 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="out", help="output CSV path (default stdout)")
 
     p = sub.add_parser("coprime", help="gcd-filtered integer vectors")
+    p.set_defaults(func=cmd_coprime)
     p.add_argument("--radius", type=_fraction_arg, required=True)
     p.add_argument("--max-gcd", dest="max_gcd", type=int, default=1)
     p.add_argument("--out", dest="out", help="output CSV path (default stdout)")
@@ -347,6 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "hole", help="CRT certificate for an empty ball in the gcd filter"
     )
+    p.set_defaults(func=cmd_hole)
     p.add_argument("--radius", type=_fraction_arg, required=True)
     p.add_argument("--max-gcd", dest="max_gcd", type=int, default=1)
     p.add_argument("--out", dest="out", help="output JSON path (default stdout)")
@@ -354,6 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "example", help="holonomy set of the shifted branched double cover"
     )
+    p.set_defaults(func=cmd_example)
     p.add_argument("--radius", type=_fraction_arg, required=True)
     p.add_argument(
         "--oracle",
@@ -365,6 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "close-pair", help="holonomy vectors closer than r from twist orbits"
     )
+    p.set_defaults(func=cmd_close_pair)
     p.add_argument(
         "input_path", metavar="config", help="path to cylinder-pair JSON"
     )
@@ -374,6 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="out", help="output JSON path (default stdout)")
 
     p = sub.add_parser("diagnose", help="gap/covering/growth report for a CSV")
+    p.set_defaults(func=cmd_diagnose)
     p.add_argument("input_path", metavar="points", help="path to point CSV")
     p.add_argument("--window", type=_window_arg, required=True, metavar="X0,Y0,X1,Y1")
     p.add_argument("--resolution", type=_fraction_arg, required=True)
@@ -383,6 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="out", help="output JSON path (default stdout)")
 
     p = sub.add_parser("plot", help="SVG scatter plot of a point CSV")
+    p.set_defaults(func=cmd_plot)
     p.add_argument("input_path", metavar="points", help="path to point CSV")
     p.add_argument("--out", dest="out", help="output SVG path (default stdout)")
     p.add_argument("--point-size", dest="point_size", type=float, default=2.0)
@@ -397,23 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(ns: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        subcommand=ns.subcommand,
-        input_path=getattr(ns, "input_path", None),
-        out_path=getattr(ns, "out", None),
-        radius=getattr(ns, "radius", None),
-        max_gcd=getattr(ns, "max_gcd", 1),
-        marked=getattr(ns, "marked", False),
-        oracle=getattr(ns, "oracle", False),
-        window=getattr(ns, "window", None),
-        resolution=getattr(ns, "resolution", None),
-        radii=getattr(ns, "radii", None),
-        point_size=getattr(ns, "point_size", 2.0),
-        axis_range=getattr(ns, "axis_range", None),
-    )
-
-
 def _fail(code: int, exc: BaseException) -> int:
     print(f"error: {exc}", file=sys.stderr)
     return code
@@ -422,8 +379,7 @@ def _fail(code: int, exc: BaseException) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return _COMMANDS[cfg.subcommand](cfg)
+        return args.func(args)
     except DisconnectedSurfaceError as exc:
         return _fail(EXIT_DISCONNECTED, exc)
     except RatioRationalError as exc:

@@ -14,15 +14,20 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, gcd, isqrt, ulp
+from itertools import islice
+from math import ceil, gcd, isqrt
 from typing import Iterator, Union
 
 from .exact import (
     FieldMismatchError,
     QuadExt,
-    RadicalSum,
     as_fraction,
+    as_quad,
+    cross,
+    dot,
     parse_quadext,
+    sqrt_bounds_frac,
+    sqrt_with_error,
 )
 
 RationalLike = Union[int, Fraction]
@@ -50,12 +55,6 @@ class VerificationError(RuntimeError):
 
 class ConfigError(ValueError):
     """Malformed cylinder-pair configuration."""
-
-
-def _as_quad(v) -> QuadExt:
-    if isinstance(v, QuadExt):
-        return v
-    return QuadExt(as_fraction(v))
 
 
 def _floor_surd(P: int, s: int, Q: int) -> int:
@@ -177,25 +176,8 @@ def cf_expand(x: QuadIrrational, max_terms: int = 1000) -> ContinuedFraction:
     )
 
 
-def convergents(cf: ContinuedFraction, k: int) -> list[tuple[int, int]]:
-    """First k+1 convergents (p_i, q_i) by the three-term recurrence."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    out: list[tuple[int, int]] = []
-    p_prev, p_prev2 = 1, 0
-    q_prev, q_prev2 = 0, 1
-    stream = cf.terms()
-    for _ in range(k + 1):
-        a = next(stream)
-        p = a * p_prev + p_prev2
-        q = a * q_prev + q_prev2
-        out.append((p, q))
-        p_prev2, p_prev = p_prev, p
-        q_prev2, q_prev = q_prev, q
-    return out
-
-
 def _convergent_stream(cf: ContinuedFraction) -> Iterator[tuple[int, int]]:
+    """Convergents (p_i, q_i) by the three-term recurrence, without end."""
     p_prev, p_prev2 = 1, 0
     q_prev, q_prev2 = 0, 1
     for a in cf.terms():
@@ -204,6 +186,13 @@ def _convergent_stream(cf: ContinuedFraction) -> Iterator[tuple[int, int]]:
         yield p, q
         p_prev2, p_prev = p_prev, p
         q_prev2, q_prev = q_prev, q
+
+
+def convergents(cf: ContinuedFraction, k: int) -> list[tuple[int, int]]:
+    """First k+1 convergents (p_i, q_i)."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    return list(islice(_convergent_stream(cf), k + 1))
 
 
 def _round_half_up(x: QuadExt) -> int:
@@ -226,7 +215,7 @@ def inhom_approx(
     if eps <= 0:
         raise ValueError("eps must be positive")
     lam_q = lam.to_quadext()
-    c_q = _as_quad(c)
+    c_q = as_quad(c)
     if c_q.b != 0 and c_q.d != lam_q.d:
         raise FieldMismatchError(
             "offset must be rational or lie in the field of lambda"
@@ -261,44 +250,25 @@ Vec = tuple[QuadExt, QuadExt]
 
 def _lift_vec(v) -> Vec:
     x, y = v
-    return _as_quad(x), _as_quad(y)
+    return as_quad(x), as_quad(y)
 
 
-def _dot_rs(u: Vec, v: Vec) -> RadicalSum:
-    return RadicalSum.of(u[0]) * RadicalSum.of(v[0]) + RadicalSum.of(
-        u[1]
-    ) * RadicalSum.of(v[1])
+def decompose(h, gamma) -> tuple[Vec, Vec]:
+    """Split h exactly into components parallel and perpendicular to gamma.
 
-
-def _cross_rs(u: Vec, v: Vec) -> RadicalSum:
-    return RadicalSum.of(u[0]) * RadicalSum.of(v[1]) - RadicalSum.of(
-        u[1]
-    ) * RadicalSum.of(v[0])
-
-
-def decompose(h, gamma) -> tuple[tuple, tuple]:
-    """Split h into components parallel and perpendicular to gamma.
-
-    Exact when every product of coordinates stays inside one quadratic
-    field; otherwise falls back to floats with bounded error.
+    Raises FieldMismatchError when a product of coordinates would leave a
+    single quadratic field.
     """
     hv = _lift_vec(h)
     gv = _lift_vec(gamma)
     if not gv[0] and not gv[1]:
         raise ValueError("direction must be nonzero")
-    try:
-        num = hv[0] * gv[0] + hv[1] * gv[1]
-        den = gv[0] * gv[0] + gv[1] * gv[1]
-        t = num / den
-        h1 = (t * gv[0], t * gv[1])
-        h2 = (hv[0] - h1[0], hv[1] - h1[1])
-        return h1, h2
-    except FieldMismatchError:
-        hx, hy = (c.to_float()[0] for c in hv)
-        gx, gy = (c.to_float()[0] for c in gv)
-        t = (hx * gx + hy * gy) / (gx * gx + gy * gy)
-        h1 = (t * gx, t * gy)
-        return h1, (hx - h1[0], hy - h1[1])
+    num = hv[0] * gv[0] + hv[1] * gv[1]
+    den = gv[0] * gv[0] + gv[1] * gv[1]
+    t = num / den
+    h1 = (t * gv[0], t * gv[1])
+    h2 = (hv[0] - h1[0], hv[1] - h1[1])
+    return h1, h2
 
 
 @dataclass(frozen=True)
@@ -321,9 +291,9 @@ class Cylinder:
             raise ValueError("width must be positive")
         if not l[0] and not l[1]:
             raise ValueError("circumference must be nonzero")
-        cross = _cross_rs(l, h)
-        lsq = _dot_rs(l, l)
-        if not (cross * cross - lsq * (w * w)).is_zero:
+        area = cross(l, h)
+        lsq = dot(l, l)
+        if not (area * area - lsq * (w * w)).is_zero:
             raise ValueError(
                 "crossing holonomy must span the width exactly once"
             )
@@ -341,26 +311,6 @@ class ClosePairResult:
     dist_err: float
 
 
-def _sqrt_bounds_frac(x: Fraction, bits: int = 80) -> tuple[Fraction, Fraction]:
-    """Rational lo <= sqrt(x) <= hi with hi - lo <= 2^(1-bits)-ish."""
-    if x < 0:
-        raise ValueError("negative radicand")
-    scale = 1 << (2 * bits)
-    n = (x.numerator * scale) // x.denominator
-    r = isqrt(n)
-    return Fraction(r, 1 << bits), Fraction(r + 1, 1 << bits)
-
-
-def _dist_with_error(dist_sq: RadicalSum) -> tuple[float, float]:
-    mid, err = dist_sq.approx(120)
-    lo = max(Fraction(0), mid - err)
-    hi = mid + err
-    s_lo = _sqrt_bounds_frac(lo)[0]
-    s_hi = _sqrt_bounds_frac(hi)[1]
-    dist = float((s_lo + s_hi) / 2)
-    return dist, float(s_hi - s_lo) / 2 + ulp(dist)
-
-
 def close_pair(ci: Cylinder, cj: Cylinder, r) -> ClosePairResult:
     """Two saddle-connection holonomies on the twist orbits of ci and cj
     at distance < r.
@@ -376,25 +326,24 @@ def close_pair(ci: Cylinder, cj: Cylinder, r) -> ClosePairResult:
         raise ValueError("r must be positive")
     l, lp = ci.circumference, cj.circumference
     h, hp = ci.crossing, cj.crossing
-    if not _cross_rs(l, lp).is_zero:
+    if not cross(l, lp).is_zero:
         raise ValueError("cylinders must share the circumference direction")
     mu = lp[0] / l[0] if l[0] else lp[1] / l[1]
     lam_q = mu if mu.sign() > 0 else -mu
     if lam_q.is_rational:
         raise RatioRationalError("circumference ratio is rational")
-    lsq_rs = _dot_rs(l, l)
-    lsq = lsq_rs.to_quadext()
-    a = _dot_rs(h, l).to_quadext() / lsq
-    b = _dot_rs(hp, l).to_quadext() / lsq
+    lsq = dot(l, l).to_quadext()
+    a = dot(h, l).to_quadext() / lsq
+    b = dot(hp, l).to_quadext() / lsq
     c = a - b
     perp = (h[0] - hp[0] - c * l[0], h[1] - hp[1] - c * l[1])
-    perp_sq = _dot_rs(perp, perp)
+    perp_sq = dot(perp, perp)
     if (perp_sq * 4 - r * r).sign() >= 0:
         raise WidthPreconditionError(
             "perpendicular components differ by at least r/2"
         )
     mid, err = lsq.approx(64)
-    ell_hi = _sqrt_bounds_frac(mid + err)[1]
+    ell_hi = sqrt_bounds_frac(mid + err)[1]
     eps = r / (2 * ell_hi)
     m, mp = inhom_approx(QuadIrrational.from_quadext(lam_q), c, eps)
     n0 = m
@@ -402,10 +351,10 @@ def close_pair(ci: Cylinder, cj: Cylinder, r) -> ClosePairResult:
     v1 = (h[0] + n0 * l[0], h[1] + n0 * l[1])
     v2 = (hp[0] + n0p * lp[0], hp[1] + n0p * lp[1])
     diff = (v1[0] - v2[0], v1[1] - v2[1])
-    dist_sq = _dot_rs(diff, diff)
+    dist_sq = dot(diff, diff)
     if (dist_sq - r * r).sign() >= 0:
         raise VerificationError("verification failed: pair not within r")
-    dist, dist_err = _dist_with_error(dist_sq)
+    dist, dist_err = sqrt_with_error(dist_sq)
     return ClosePairResult(n0, n0p, v1, v2, dist, dist_err)
 
 

@@ -12,16 +12,15 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, ulp
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .exact import (
     PlanarPoint,
     PointSet,
-    QuadExt,
     RadicalSum,
     as_fraction,
     format_quadext,
+    sqrt_with_error,
 )
 
 ESTIMATE_LABEL = "finite-window estimate"
@@ -58,15 +57,6 @@ class DeloneReport:
     label: str = ESTIMATE_LABEL
 
 
-def _coord_float(v) -> tuple[float, float]:
-    """Float value and absolute error bound for one exact coordinate."""
-    if isinstance(v, QuadExt):
-        return v.to_float()
-    f = Fraction(v)
-    x = float(f)
-    return x, abs(float(f - Fraction(x)))
-
-
 def _local_floats(points: Sequence[PlanarPoint]) -> tuple[list, list, float]:
     """Coordinates relative to the first point, as floats.
 
@@ -78,110 +68,46 @@ def _local_floats(points: Sequence[PlanarPoint]) -> tuple[list, list, float]:
     ys: list[float] = []
     worst = 0.0
     for p in points:
-        fx, ex = _coord_float(p.x - ref.x)
-        fy, ey = _coord_float(p.y - ref.y)
+        fx, ex = (p.x - ref.x).to_float()
+        fy, ey = (p.y - ref.y).to_float()
         xs.append(fx)
         ys.append(fy)
         worst = max(worst, ex, ey)
     return xs, ys, worst
 
 
-def _sqrt_bounds_frac(x: Fraction, bits: int = 80) -> tuple[Fraction, Fraction]:
-    if x < 0:
-        raise ValueError("negative radicand")
-    scale = 1 << (2 * bits)
-    n = (x.numerator * scale) // x.denominator
-    r = isqrt(n)
-    return Fraction(r, 1 << bits), Fraction(r + 1, 1 << bits)
-
-
-def _sqrt_with_error(sq: RadicalSum) -> tuple[float, float]:
-    mid, err = sq.approx(120)
-    lo = max(Fraction(0), mid - err)
-    hi = mid + err
-    s_lo = _sqrt_bounds_frac(lo)[0]
-    s_hi = _sqrt_bounds_frac(hi)[1]
-    value = float((s_lo + s_hi) / 2)
-    return value, float(s_hi - s_lo) / 2 + ulp(value)
-
-
-def _grid_pairs_within(
-    xs: Sequence[float], ys: Sequence[float], cell: float, limit_sq: float
-) -> Iterable[tuple[int, int]]:
-    """All index pairs (i, j), i < j, with float distance^2 <= limit_sq."""
-    grid: dict[tuple[int, int], list[int]] = {}
-    for i, (x, y) in enumerate(zip(xs, ys)):
-        cx, cy = int(x // cell), int(y // cell)
-        for nx in (cx - 1, cx, cx + 1):
-            for ny in (cy - 1, cy, cy + 1):
-                for j in grid.get((nx, ny), ()):
-                    dx = x - xs[j]
-                    dy = y - ys[j]
-                    if dx * dx + dy * dy <= limit_sq:
-                        yield j, i
-        grid.setdefault((cx, cy), []).append(i)
-
-
 def min_gap(ps: PointSet) -> MinGapResult:
     """Smallest pairwise distance and a witnessing pair.
 
-    Runs the grid-bucket sweep in floats (cell size = current best gap,
-    grid rebuilt on improvement), then re-ranks every near-tie exactly,
-    so the witness is the true minimum with ties broken by canonical
-    point order.
+    A KD-tree over the float coordinates gives the nearest-neighbour
+    distance; every pair within a rounding margin of it is then re-ranked
+    exactly, so the witness is the true minimum with ties broken by
+    canonical point order.
     """
+    # scipy loads here, not at module level, so subcommands that never
+    # search a gap start without it
+    from scipy.spatial import cKDTree
+
     points = ps.points
     if len(points) < 2:
         raise ValueError("need at least 2 points")
     xs, ys, coord_err = _local_floats(points)
-
-    def fdist_sq(i: int, j: int) -> float:
-        dx = xs[i] - xs[j]
-        dy = ys[i] - ys[j]
-        return dx * dx + dy * dy
-
-    best_sq = fdist_sq(0, 1)
-    grid: dict[tuple[int, int], list[int]] = {}
-
-    def rebuild(upto: int, cell: float):
-        grid.clear()
-        for k in range(upto):
-            grid.setdefault(
-                (int(xs[k] // cell), int(ys[k] // cell)), []
-            ).append(k)
-
-    cell = max(best_sq, 1e-300) ** 0.5
-    rebuild(2, cell)
-    for i in range(2, len(points)):
-        cx, cy = int(xs[i] // cell), int(ys[i] // cell)
-        improved = False
-        for nx in (cx - 1, cx, cx + 1):
-            for ny in (cy - 1, cy, cy + 1):
-                for j in grid.get((nx, ny), ()):
-                    d = fdist_sq(i, j)
-                    if d < best_sq:
-                        best_sq = d
-                        improved = True
-        if improved:
-            cell = max(best_sq, 1e-300) ** 0.5
-            rebuild(i, cell)
-        grid.setdefault(
-            (int(xs[i] // cell), int(ys[i] // cell)), []
-        ).append(i)
+    coords = list(zip(xs, ys))
+    tree = cKDTree(coords)
+    best = float(tree.query(coords, k=2)[0][:, 1].min())
 
     # collect every pair whose float distance could tie the best, then
     # settle the order exactly
     span = max(max(map(abs, xs)), max(map(abs, ys)), 1.0)
-    margin = 4.0 * coord_err + 1e-12 * span + 1e-6 * best_sq ** 0.5
-    limit = (best_sq ** 0.5 + margin) ** 2
+    margin = 4.0 * coord_err + 1e-12 * span + 1e-6 * best
     best_exact: Optional[RadicalSum] = None
     witness: Optional[tuple[int, int]] = None
-    for i, j in sorted(_grid_pairs_within(xs, ys, limit ** 0.5, limit)):
+    for i, j in sorted(tree.query_pairs(best + margin)):
         sq = points[i].dist_sq(points[j])
         if best_exact is None or (sq - best_exact).sign() < 0:
             best_exact = sq
             witness = (i, j)
-    gap, err = _sqrt_with_error(best_exact)
+    gap, err = sqrt_with_error(best_exact)
     return MinGapResult(gap, err, (points[witness[0]], points[witness[1]]))
 
 
@@ -218,8 +144,8 @@ def covering_radius(
     # far-from-origin windows
     coords = np.empty((len(points), 2), dtype=float)
     for k, p in enumerate(points):
-        coords[k, 0] = _coord_float(p.x - x0)[0]
-        coords[k, 1] = _coord_float(p.y - y0)[0]
+        coords[k, 0] = (p.x - x0).to_float()[0]
+        coords[k, 1] = (p.y - y0).to_float()[0]
     tree = cKDTree(coords)
     nx = int((x1 - x0) / res) + 1
     ny = int((y1 - y0) / res) + 1

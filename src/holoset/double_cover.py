@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional
 
 from .exact import (
     PlanarPoint,
@@ -22,6 +22,8 @@ from .exact import (
     QuadExt,
     RadicalSum,
     as_fraction,
+    cross,
+    dot,
     point,
 )
 from .coprime import coprime_points
@@ -48,14 +50,6 @@ class ShiftVector:
                 raise ValueError(f"{name} must lie in (0, 1)")
 
 
-@dataclass(frozen=True)
-class BranchConfig:
-    """Named configuration of the branched cover (defaults to the
-    (sqrt(2)-1, sqrt(3)-1) shift)."""
-
-    shift: ShiftVector = field(default_factory=ShiftVector)
-
-
 def _norm_le(x: QuadExt, y: QuadExt, R2: Fraction) -> bool:
     return RadicalSum.of(x * x, y * y, -R2).sign() <= 0
 
@@ -64,15 +58,16 @@ def _int_range(lo: QuadExt, hi: QuadExt) -> range:
     return range(lo.floor(), hi.floor() + 2)
 
 
-def closed_form(cfg: Optional[BranchConfig], radius) -> PointSet:
+def closed_form(shift: Optional[ShiftVector], radius) -> PointSet:
     """The holonomy set inside the closed radius ball, by its three-family
-    description: coprime integer pairs, and the two shifted lattices."""
-    cfg = cfg or BranchConfig()
+    description: coprime integer pairs, and the two shifted lattices.
+    ``shift=None`` takes the default (sqrt(2)-1, sqrt(3)-1) shift."""
+    shift = shift or ShiftVector()
     R = as_fraction(radius)
     if R <= 0:
         raise ValueError("radius must be positive")
     R2 = R * R
-    tx, ty = cfg.shift.tx, cfg.shift.ty
+    tx, ty = shift.tx, shift.ty
     pts: list[PlanarPoint] = [
         PlanarPoint(p.x, p.y, TAG_UU) for p in coprime_points(R)
     ]
@@ -86,14 +81,6 @@ def closed_form(cfg: Optional[BranchConfig], radius) -> PointSet:
     return PointSet(pts)
 
 
-def _cross(ux, uy, vx, vy) -> RadicalSum:
-    return RadicalSum.of(ux) * RadicalSum.of(vy) - RadicalSum.of(uy) * RadicalSum.of(vx)
-
-
-def _dot(ux, uy, vx, vy) -> RadicalSum:
-    return RadicalSum.of(ux) * RadicalSum.of(vx) + RadicalSum.of(uy) * RadicalSum.of(vy)
-
-
 def _strictly_between(w, src, dst) -> bool:
     """Exact test: w lies on the open segment (src, dst).
 
@@ -102,11 +89,11 @@ def _strictly_between(w, src, dst) -> bool:
     wx, wy = w
     sx, sy = src
     dx, dy = dst
-    if not _cross(wx - sx, wy - sy, dx - sx, dy - sy).is_zero:
+    if not cross((wx - sx, wy - sy), (dx - sx, dy - sy)).is_zero:
         return False
-    if _dot(wx - sx, wy - sy, dx - sx, dy - sy).sign() <= 0:
+    if dot((wx - sx, wy - sy), (dx - sx, dy - sy)).sign() <= 0:
         return False
-    if _dot(wx - dx, wy - dy, sx - dx, sy - dy).sign() <= 0:
+    if dot((wx - dx, wy - dy), (sx - dx, sy - dy)).sign() <= 0:
         return False
     return True
 
@@ -131,20 +118,21 @@ def _segment_interior_empty(src, dst, shifts) -> bool:
     return True
 
 
-def geometric_oracle(cfg: Optional[BranchConfig], radius) -> PointSet:
+def geometric_oracle(shift: Optional[ShiftVector], radius) -> PointSet:
     """Re-derive the holonomy set from segment geometry.
 
     Sources reduce, by translation invariance of the two singularity
     families, to one representative per family: the origin (U) and the
     shift t (V).  Every candidate target within the radius ball is tested
-    for an empty open interior against both full families.
+    for an empty open interior against both full families.  ``shift=None``
+    takes the default shift, as in :func:`closed_form`.
     """
-    cfg = cfg or BranchConfig()
+    shift = shift or ShiftVector()
     R = as_fraction(radius)
     if R <= 0:
         raise ValueError("radius must be positive")
     R2 = R * R
-    tx, ty = cfg.shift.tx, cfg.shift.ty
+    tx, ty = shift.tx, shift.ty
     zero = QuadExt(0)
     families = {
         "U": (zero, zero),
@@ -170,17 +158,13 @@ def geometric_oracle(cfg: Optional[BranchConfig], radius) -> PointSet:
     return PointSet(pts)
 
 
-def _as_quad(v) -> QuadExt:
-    return v if isinstance(v, QuadExt) else QuadExt(as_fraction(v))
-
-
 def slope_class(p1: PlanarPoint, p2: PlanarPoint) -> str:
     """Classify the slope of the segment p1 -> p2 exactly.
 
     Returns "rational", "infinite" (vertical), or "irrational".
     """
-    dx = _as_quad(p2.x) - _as_quad(p1.x)
-    dy = _as_quad(p2.y) - _as_quad(p1.y)
+    dx = p2.x - p1.x
+    dy = p2.y - p1.y
     if not dx and not dy:
         raise ValueError("points coincide; slope undefined")
     if not dx:

@@ -15,18 +15,12 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, ulp
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 Rational = Fraction
 
 RationalLike = Union[int, Fraction]
-
-#: Hard ceiling for precision escalation, in bits.  A comparison still
-#: unresolved here is reported as numerically equal.
-PRECISION_CAP = 4096
-
-_ESCALATION_STEPS = (64, 128, 256, 512, 1024, 2048, PRECISION_CAP)
 
 
 class FieldMismatchError(ValueError):
@@ -100,6 +94,16 @@ def sqrt_bounds(d: int, bits: int) -> tuple[Fraction, Fraction]:
     s = _isqrt_shifted(d, bits)
     scale = 1 << (bits + 1)
     return Fraction(2 * s + 1, scale), Fraction(1, scale)
+
+
+def sqrt_bounds_frac(x: Fraction, bits: int = 80) -> tuple[Fraction, Fraction]:
+    """Rational lo <= sqrt(x) <= hi with hi - lo = 2**-bits."""
+    if x < 0:
+        raise ValueError("negative radicand")
+    scale = 1 << (2 * bits)
+    n = (x.numerator * scale) // x.denominator
+    r = isqrt(n)
+    return Fraction(r, 1 << bits), Fraction(r + 1, 1 << bits)
 
 
 class QuadExt:
@@ -328,6 +332,12 @@ class QuadExt:
         if self.b == 0:  # to_float()[0] without building an error bound
             return float(self.a)
         return self.to_float()[0]
+
+
+def as_quad(v) -> QuadExt:
+    """Lift an int, Fraction, float or rational string to QuadExt; a
+    QuadExt passes through unchanged."""
+    return v if isinstance(v, QuadExt) else QuadExt(as_fraction(v))
 
 
 def _lift(x) -> Union[QuadExt, type(NotImplemented)]:
@@ -604,9 +614,13 @@ class RadicalSum:
         return mid, err
 
     def sign(self) -> int:
-        """Exact sign; 0 means exactly zero, or unresolved at the 4096-bit
-        cap, which is reported as numerically equal (documented: does not
-        occur for the sets in scope)."""
+        """Exact sign in {-1, 0, 1}; 0 only for the zero sum.
+
+        Square roots of distinct squarefree integers are linearly
+        independent over Q (Besicovitch 1940), so a sum with nonempty
+        terms is nonzero.  Its dyadic error bound shrinks to 0 as the
+        precision doubles from 64 bits, so the loop below terminates.
+        """
         if not self._terms:
             return 0
         items = list(self._terms.items())
@@ -617,13 +631,14 @@ class RadicalSum:
             rat = self._terms.get(1, Fraction(0))
             d, c = next((d, c) for d, c in items if d != 1)
             return quad_sign(QuadExt(rat, c, d))
-        for bits in _ESCALATION_STEPS:
+        bits = 64
+        while True:
             mid, err = self.approx(bits)
             if mid > err:
                 return 1
             if mid < -err:
                 return -1
-        return 0
+            bits *= 2
 
     def to_quadext(self) -> QuadExt:
         """Convert back when at most one radical is present."""
@@ -662,9 +677,31 @@ def _lift_rs(x) -> Union[RadicalSum, type(NotImplemented)]:
     return NotImplemented
 
 
-def radical_sum_sign(terms: Iterable[Union[QuadExt, Fraction, int]]) -> int:
-    """Exact sign of a sum of values drawn from several quadratic fields."""
-    return RadicalSum.of(*terms).sign()
+def dot(u, v) -> RadicalSum:
+    """Exact dot product of two planar vectors whose coordinates may lie
+    in different quadratic fields."""
+    return RadicalSum.of(u[0]) * RadicalSum.of(v[0]) + RadicalSum.of(
+        u[1]
+    ) * RadicalSum.of(v[1])
+
+
+def cross(u, v) -> RadicalSum:
+    """Exact 2D cross product u_x*v_y - u_y*v_x."""
+    return RadicalSum.of(u[0]) * RadicalSum.of(v[1]) - RadicalSum.of(
+        u[1]
+    ) * RadicalSum.of(v[0])
+
+
+def sqrt_with_error(sq: RadicalSum) -> tuple[float, float]:
+    """Float square root of a nonnegative value, with an absolute error
+    bound."""
+    mid, err = sq.approx(120)
+    lo = max(Fraction(0), mid - err)
+    hi = mid + err
+    s_lo = sqrt_bounds_frac(lo)[0]
+    s_hi = sqrt_bounds_frac(hi)[1]
+    value = float((s_lo + s_hi) / 2)
+    return value, float(s_hi - s_lo) / 2 + ulp(value)
 
 
 # -- planar points and point sets ---------------------------------------------
@@ -766,11 +803,8 @@ class PointSet:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PointSet):
             return NotImplemented
-        if len(self.points) != len(other.points):
-            return False
-        return all(
-            _point_cmp(p, q) == 0 for p, q in zip(self.points, other.points)
-        )
+        # QuadExt is canonical, so componentwise equality is value equality
+        return self.points == other.points
 
     def __hash__(self) -> int:
         return hash(tuple((p.x, p.y) for p in self.points))

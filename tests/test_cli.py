@@ -392,13 +392,16 @@ def test_module_entry_point():
     assert len(data_rows(proc.stdout)) == 4
 
 
-def test_subcommands_without_diagnose_do_not_import_numpy_or_scipy():
+def test_subcommands_without_diagnose_do_not_import_numpy_or_scipy(tmp_path):
+    csv_path, svg_path = str(tmp_path / "ex.csv"), str(tmp_path / "ex.svg")
     script = textwrap.dedent(
-        """
+        f"""
         import sys
         from holoset.cli import main
         assert main(["coprime", "--radius", "5"]) == 0
-        heavy = sorted({m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"})
+        assert main(["example", "--radius", "3", "--out", {csv_path!r}]) == 0
+        assert main(["plot", {csv_path!r}, "--out", {svg_path!r}]) == 0
+        heavy = sorted({{m.split(".")[0] for m in sys.modules}} & {{"numpy", "scipy"}})
         print(heavy, file=sys.stderr)
         sys.exit(1 if heavy else 0)
         """
@@ -408,3 +411,4 @@ def test_subcommands_without_diagnose_do_not_import_numpy_or_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert len(data_rows(proc.stdout)) > 0
+    assert (tmp_path / "ex.svg").read_text().count("<circle ") > 0

@@ -239,14 +239,10 @@ def test_decompose_zero_direction():
         decompose((1, 0), (0, 0))
 
 
-def test_decompose_float_fallback():
+def test_decompose_mixed_fields_raises():
     h = (QuadExt(0, 1, 2), QuadExt(0, 1, 3))
-    h1, h2 = decompose(h, (1, 1))
-    assert isinstance(h1[0], float)
-    hx, hy = 2 ** 0.5, 3 ** 0.5
-    assert h1[0] + h2[0] == pytest.approx(hx)
-    assert h1[1] + h2[1] == pytest.approx(hy)
-    assert h2[0] + h2[1] == pytest.approx(0, abs=1e-12)
+    with pytest.raises(FieldMismatchError):
+        decompose(h, (1, 1))
 
 
 UNIT = Cylinder((1, 0), (Fraction(1, 3), Fraction(1, 50)), Fraction(1, 50))

@@ -25,7 +25,7 @@ from holoset.diagnostics import (
     write_counts_csv,
 )
 from holoset.double_cover import closed_form
-from holoset.exact import PointSet, point
+from holoset.exact import PlanarPoint, PointSet, QuadExt, point
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -70,15 +70,39 @@ def test_min_gap_matches_brute_force():
         }
         if len(coords) < 2:
             continue
-        flat = sorted(coords)
-        brute = min(
-            (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2
-            for i, a in enumerate(flat)
-            for b in flat[i + 1 :]
+        ps = PointSet([point(x, y) for x, y in coords])
+        pts = ps.points
+        # (distance^2, i, j) minimal: the first minimal pair in canonical
+        # (i, j) order, which is the witness min_gap must return
+        brute, i, j = min(
+            ((p.x.a - q.x.a) ** 2 + (p.y.a - q.y.a) ** 2, i, j)
+            for i, p in enumerate(pts)
+            for j, q in enumerate(pts[i + 1 :], start=i + 1)
         )
-        res = min_gap(PointSet([point(x, y) for x, y in coords]))
+        res = min_gap(ps)
         got = res.pair[0].dist_sq(res.pair[1]).to_quadext()
         assert got == brute
+        assert res.pair == (pts[i], pts[j])
+    # far from the origin, with x in Q(sqrt(2)) and y in Q(sqrt(3))
+    off = 10 ** 30
+    for _ in range(10):
+        pts = PointSet(
+            PlanarPoint(
+                QuadExt(off + rng.randint(-3, 3), rng.randint(-3, 3), 2),
+                QuadExt(off + rng.randint(-3, 3), rng.randint(-3, 3), 3),
+            )
+            for _ in range(rng.randint(2, 30))
+        ).points
+        if len(pts) < 2:
+            continue
+        best, i, j = None, None, None
+        for a in range(len(pts)):
+            for b in range(a + 1, len(pts)):
+                sq = pts[a].dist_sq(pts[b])
+                if best is None or (sq - best).sign() < 0:
+                    best, i, j = sq, a, b
+        res = min_gap(PointSet(pts))
+        assert res.pair == (pts[i], pts[j])
 
 
 def test_min_gap_negation_symmetric_witness():

@@ -10,7 +10,6 @@ from holoset.double_cover import (
     TAG_UU,
     TAG_UV,
     TAG_VU,
-    BranchConfig,
     ShiftVector,
     closed_form,
     geometric_oracle,
@@ -121,8 +120,7 @@ def test_oracle_nondefault_shift_agrees():
         tx=QuadExt(Fraction(-1, 2), Fraction(1, 2), 2),
         ty=QuadExt(-2, 1, 5),
     )
-    cfg = BranchConfig(shift=shift)
-    assert closed_form(cfg, 2) == geometric_oracle(cfg, 2)
+    assert closed_form(shift, 2) == geometric_oracle(shift, 2)
 
 
 def test_rejects_nonpositive_radius():

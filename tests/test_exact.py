@@ -277,6 +277,22 @@ def test_radical_sum_close_call_resolves():
     assert s.sign() != 0
 
 
+def test_radical_sum_sign_is_never_zero_for_a_nonzero_sum():
+    # (sqrt(3) - sqrt(2))**2501 = a*sqrt(3) + b*sqrt(2) with integers a, b
+    # of about 1250 digits; its value, near 10**-1247, cancels far below
+    # 4096 bits, yet distinct squarefree radicals make it nonzero.
+    base = RadicalSum({3: Fraction(1), 2: Fraction(-1)})
+    s, n = RadicalSum({1: Fraction(1)}), 2501
+    while n:
+        if n & 1:
+            s = s * base
+        base = base * base
+        n >>= 1
+    assert set(s.terms) == {2, 3}
+    assert s.sign() == 1
+    assert (-s).sign() == -1
+
+
 def test_radical_sum_product_reduces_radicals():
     s = RadicalSum.of(QuadExt(0, 1, 2)) * RadicalSum.of(QuadExt(0, 1, 6))
     assert s == RadicalSum.of(QuadExt(0, 2, 3))
@@ -348,6 +364,11 @@ def test_pointset_dedup_is_value_exact():
         (near, QuadExt(1)): "e",
     }
     assert len(ps) == 3
+
+    def row(x):
+        return PointSet([PlanarPoint(x, QuadExt(1))])
+
+    assert row(QuadExt(0, 1, 8)) == row(two_sqrt2) != row(near)
 
 
 def test_pointset_mixed_fields_sort_exactly():
