@@ -17,14 +17,9 @@ from .exact import (
     PointSet,
     QuadExt,
     RadicalSum,
-    Rational,
     format_quadext,
     parse_quadext,
     point,
-    quad_add,
-    quad_mul,
-    quad_sign,
-    to_float,
 )
 
 __version__ = "0.1.0"
@@ -36,13 +31,8 @@ __all__ = [
     "PointSet",
     "QuadExt",
     "RadicalSum",
-    "Rational",
     "format_quadext",
     "parse_quadext",
     "point",
-    "quad_add",
-    "quad_mul",
-    "quad_sign",
-    "to_float",
     "__version__",
 ]

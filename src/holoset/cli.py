@@ -152,6 +152,8 @@ def _certificate_digit_estimate(max_gcd: int, radius: Fraction) -> int:
     m * max(ln m, ln max_gcd) / ln 10 digits (prime number theorem), which
     is accurate enough to decide whether building it is sane.
     """
+    if max_gcd < 1:
+        raise ValueError("max_gcd must be >= 1")
     if radius <= 0:
         raise ValueError("radius must be positive")
     n = math.floor(2 * radius) + 1
@@ -231,7 +233,7 @@ def render_svg(ps: PointSet, point_size: float = 2.0, axis_range=None) -> str:
     point tag, assigned in sorted tag order, so output is a pure
     function of the input set.
     """
-    if point_size <= 0:
+    if not (point_size > 0 and math.isfinite(point_size)):
         raise ValueError("point size must be positive")
     coords = [(float(p.x), -float(p.y), p.tag) for p in ps]
     if axis_range is not None:

@@ -14,13 +14,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from math import ceil, gcd, isqrt
 from typing import Iterator, Union
 
 from .exact import (
     FieldMismatchError,
     QuadExt,
+    RationalLike,
     as_fraction,
     as_quad,
     cross,
@@ -29,9 +29,6 @@ from .exact import (
     sqrt_bounds_frac,
     sqrt_with_error,
 )
-
-RationalLike = Union[int, Fraction]
-
 
 class RatioRationalError(ValueError):
     """The circumference ratio is rational; no close pair is forced."""
@@ -176,7 +173,7 @@ def cf_expand(x: QuadIrrational, max_terms: int = 1000) -> ContinuedFraction:
     )
 
 
-def _convergent_stream(cf: ContinuedFraction) -> Iterator[tuple[int, int]]:
+def convergents(cf: ContinuedFraction) -> Iterator[tuple[int, int]]:
     """Convergents (p_i, q_i) by the three-term recurrence, without end."""
     p_prev, p_prev2 = 1, 0
     q_prev, q_prev2 = 0, 1
@@ -186,13 +183,6 @@ def _convergent_stream(cf: ContinuedFraction) -> Iterator[tuple[int, int]]:
         yield p, q
         p_prev2, p_prev = p_prev, p
         q_prev2, q_prev = q_prev, q
-
-
-def convergents(cf: ContinuedFraction, k: int) -> list[tuple[int, int]]:
-    """First k+1 convergents (p_i, q_i)."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    return list(islice(_convergent_stream(cf), k + 1))
 
 
 def _round_half_up(x: QuadExt) -> int:
@@ -226,7 +216,7 @@ def inhom_approx(
     cf = cf_expand(lam, max_terms)
     target = ceil(2 / eps)
     p = q = None
-    for p, q in _convergent_stream(cf):
+    for p, q in convergents(cf):
         if q >= target:
             break
     delta = lam_q * q - p
@@ -251,24 +241,6 @@ Vec = tuple[QuadExt, QuadExt]
 def _lift_vec(v) -> Vec:
     x, y = v
     return as_quad(x), as_quad(y)
-
-
-def decompose(h, gamma) -> tuple[Vec, Vec]:
-    """Split h exactly into components parallel and perpendicular to gamma.
-
-    Raises FieldMismatchError when a product of coordinates would leave a
-    single quadratic field.
-    """
-    hv = _lift_vec(h)
-    gv = _lift_vec(gamma)
-    if not gv[0] and not gv[1]:
-        raise ValueError("direction must be nonzero")
-    num = hv[0] * gv[0] + hv[1] * gv[1]
-    den = gv[0] * gv[0] + gv[1] * gv[1]
-    t = num / den
-    h1 = (t * gv[0], t * gv[1])
-    h2 = (hv[0] - h1[0], hv[1] - h1[1])
-    return h1, h2
 
 
 @dataclass(frozen=True)

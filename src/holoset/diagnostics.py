@@ -9,10 +9,9 @@ infinite set is implied.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .exact import (
     PlanarPoint,
@@ -170,10 +169,9 @@ def covering_radius(
     return CoveringResult(best, (float(cx), float(cy)), (cx, cy))
 
 
-def growth_counts(
-    generator: Callable[[Fraction], PointSet], radii: Sequence
-) -> GrowthCounts:
-    """Point counts N(R) and quadratic-density coefficients N(R)/R^2.
+def growth_counts(ps: PointSet, radii: Sequence) -> GrowthCounts:
+    """Point counts N(R) of ps in each closed R-ball about the origin, and
+    quadratic-density coefficients N(R)/R^2.
 
     Flags non-quadratic growth when the coefficients over the top half
     of the radii spread by more than a factor of 4.
@@ -185,7 +183,12 @@ def growth_counts(
         raise ValueError("radii must be strictly increasing")
     if rs[0] <= 0:
         raise ValueError("radii must be positive")
-    counts = tuple((r, len(generator(r).points)) for r in rs)
+    norms = [p.norm_sq() for p in ps.points]
+    counts = []
+    for r in rs:
+        rsq = RadicalSum.of(r * r)
+        counts.append((r, sum((n - rsq).sign() <= 0 for n in norms)))
+    counts = tuple(counts)
     coefficients = tuple(n / float(r * r) for r, n in counts)
     top = coefficients[len(coefficients) // 2 :]
     low, high = min(top), max(top)
@@ -193,19 +196,11 @@ def growth_counts(
     return GrowthCounts(counts, coefficients, non_quadratic)
 
 
-def _ball_subset(ps: PointSet, r: Fraction) -> PointSet:
-    rsq = r * r
-    kept = [
-        p for p in ps.points if (p.norm_sq() - rsq).sign() <= 0
-    ]
-    return PointSet(kept)
-
-
 def delone_report(ps: PointSet, window, resolution, radii) -> DeloneReport:
     """Bundle of gap, covering and growth diagnostics for one set."""
     gap = min_gap(ps)
     covering = covering_radius(ps, window, resolution)
-    growth = growth_counts(lambda r: _ball_subset(ps, r), radii)
+    growth = growth_counts(ps, radii)
     return DeloneReport(gap, covering, growth)
 
 
@@ -232,10 +227,3 @@ def report_to_json_dict(report: DeloneReport) -> dict:
             "non_quadratic": report.growth.non_quadratic,
         },
     }
-
-
-def write_counts_csv(fh, growth: GrowthCounts) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(("radius", "count"))
-    for r, n in growth.counts:
-        writer.writerow((str(r), n))

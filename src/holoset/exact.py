@@ -16,9 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, ulp
-from typing import Iterable, Iterator, Optional, Sequence, Union
-
-Rational = Fraction
+from typing import Iterable, Iterator, Optional, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -69,21 +67,6 @@ def squarefree_split(n: int) -> tuple[int, int]:
     return f, m
 
 
-@lru_cache(maxsize=None)
-def _prime_factors(d: int) -> tuple[int, ...]:
-    """Prime factors of a squarefree d > 1, ascending."""
-    out = []
-    p = 2
-    while p * p <= d:
-        if d % p == 0:
-            out.append(p)
-            d //= p
-        p += 1 if p == 2 else 2
-    if d > 1:
-        out.append(d)
-    return tuple(out)
-
-
 @lru_cache(maxsize=4096)
 def _isqrt_shifted(d: int, bits: int) -> int:
     return isqrt(d << (2 * bits))
@@ -104,6 +87,48 @@ def sqrt_bounds_frac(x: Fraction, bits: int = 80) -> tuple[Fraction, Fraction]:
     n = (x.numerator * scale) // x.denominator
     r = isqrt(n)
     return Fraction(r, 1 << bits), Fraction(r + 1, 1 << bits)
+
+
+def _radical_bounds(
+    d: int, c: Fraction, precision_bits: int
+) -> tuple[Fraction, Fraction]:
+    """Dyadic midpoint and rigorous error bound of c*sqrt(d), d > 1.
+
+    sqrt(d) is bracketed with as many extra bits as |c| has integer bits,
+    so the error stays below 2**-(precision_bits+9) however large c is.
+    """
+    cabs = abs(c)
+    extra = max(0, cabs.numerator.bit_length() - cabs.denominator.bit_length() + 1)
+    m, e = sqrt_bounds(d, precision_bits + 8 + extra)
+    return c * m, cabs * e
+
+
+def _float_with_bound(mid: Fraction, err: Fraction) -> tuple[float, float]:
+    """float(mid) with a conservative bound on its distance to a value
+    known to lie within err of mid."""
+    value = float(mid)
+    if err == 0 and Fraction(value) == mid:
+        return value, 0.0
+    # float(mid) is correctly rounded: one half-ulp of conversion error.
+    conv = abs(value) * 2.0 ** -52 + 5e-324
+    return value, float(err) * (1 + 2.0 ** -50) + conv
+
+
+def _quad_sign(a: Fraction, b: Fraction, d: int) -> int:
+    """Exact sign of a + b*sqrt(d) by comparing a*a against b*b*d."""
+    sa = (a > 0) - (a < 0)
+    sb = (b > 0) - (b < 0)
+    if sb == 0 or sa == sb:
+        return sa
+    if sa == 0:
+        return sb
+    # Opposite signs: |a| versus |b|*sqrt(d), squared.
+    lhs = a * a
+    rhs = b * b * d
+    if lhs == rhs:
+        # Impossible for d > 1 squarefree with a, b nonzero; kept for safety.
+        return 0
+    return sa if lhs > rhs else sb
 
 
 class QuadExt:
@@ -184,11 +209,6 @@ class QuadExt:
     def is_rational(self) -> bool:
         return self.b == 0
 
-    def to_fraction(self) -> Fraction:
-        if self.b != 0:
-            raise ValueError(f"{self} is irrational")
-        return self.a
-
     # -- ring operations -----------------------------------------------
 
     def __add__(self, other) -> "QuadExt":
@@ -229,9 +249,6 @@ class QuadExt:
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> "QuadExt":
-        return QuadExt(self.a, -self.b, self.d)
-
     def norm(self) -> Fraction:
         """Field norm a*a - b*b*d (rational)."""
         return self.a * self.a - self.b * self.b * self.d
@@ -250,17 +267,11 @@ class QuadExt:
         del d
         return self * other.inverse()
 
-    def __rtruediv__(self, other) -> "QuadExt":
-        other = _lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
-
     # -- exact predicates ------------------------------------------------
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, 1}; never touches floating point."""
-        return quad_sign(self)
+        return _quad_sign(self.a, self.b, self.d)
 
     def compare(self, other) -> int:
         """Exact three-way value comparison; works across distinct fields."""
@@ -282,9 +293,6 @@ class QuadExt:
 
     def __ge__(self, other) -> bool:
         return self.compare(other) >= 0
-
-    def __abs__(self) -> "QuadExt":
-        return -self if self.sign() < 0 else self
 
     def floor(self) -> int:
         """Exact integer floor."""
@@ -311,22 +319,12 @@ class QuadExt:
             raise ValueError("precision_bits must be >= 24")
         if self.b == 0:
             return self.a, Fraction(0)
-        babs = abs(self.b)
-        extra = max(0, babs.numerator.bit_length() - babs.denominator.bit_length() + 1)
-        bits = precision_bits + 8 + extra
-        mid_s, err_s = sqrt_bounds(self.d, bits)
-        return self.a + self.b * mid_s, babs * err_s
+        mid, err = _radical_bounds(self.d, self.b, precision_bits)
+        return self.a + mid, err
 
     def to_float(self, precision_bits: int = 53) -> tuple[float, float]:
         """Floating value with a conservative absolute error bound."""
-        mid, err = self.approx(precision_bits)
-        value = float(mid)
-        if err == 0 and Fraction(value) == mid:
-            return value, 0.0
-        # float(mid) is correctly rounded: one half-ulp of conversion error.
-        conv = abs(value) * 2.0 ** -52 + 5e-324
-        bound = float(err) * (1 + 2.0 ** -50) + conv
-        return value, bound
+        return _float_with_bound(*self.approx(precision_bits))
 
     def __float__(self) -> float:
         if self.b == 0:  # to_float()[0] without building an error bound
@@ -346,40 +344,6 @@ def _lift(x) -> Union[QuadExt, type(NotImplemented)]:
     if isinstance(x, (int, Fraction)):
         return QuadExt(x)
     return NotImplemented
-
-
-def quad_add(u: QuadExt, v: QuadExt) -> QuadExt:
-    """Componentwise sum; fields must agree (rationals embed)."""
-    return u + v
-
-
-def quad_mul(u: QuadExt, v: QuadExt) -> QuadExt:
-    """Product (a1*a2 + b1*b2*d, a1*b2 + a2*b1); fields must agree."""
-    return u * v
-
-
-def quad_sign(u: QuadExt) -> int:
-    """Exact sign of a + b*sqrt(d) by comparing a*a against b*b*d."""
-    sa = (u.a > 0) - (u.a < 0)
-    sb = (u.b > 0) - (u.b < 0)
-    if sb == 0:
-        return sa
-    if sa == 0:
-        return sb
-    if sa == sb:
-        return sa
-    # Opposite signs: |a| versus |b|*sqrt(d), squared.
-    lhs = u.a * u.a
-    rhs = u.b * u.b * u.d
-    if lhs == rhs:
-        # Impossible for d > 1 squarefree with a, b nonzero; kept for safety.
-        return 0
-    return sa if lhs > rhs else sb
-
-
-def to_float(u: QuadExt, precision_bits: int = 53) -> tuple[float, float]:
-    """Module-level alias for :meth:`QuadExt.to_float`."""
-    return u.to_float(precision_bits)
 
 
 # -- serialization -----------------------------------------------------------
@@ -565,53 +529,22 @@ class RadicalSum:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "RadicalSum":
-        """Exact inverse via the product of radical conjugates."""
-        if self.is_zero:
-            raise ZeroDivisionError("inverse of zero")
-        primes: set[int] = set()
-        for d in self._terms:
-            primes.update(_prime_factors(d))
-        primes_t = sorted(primes)
-        if len(primes_t) > 6:
-            raise ValueError("radical support too large to invert exactly")
-        conj_product = RadicalSum({1: Fraction(1)})
-        for mask in range(1, 1 << len(primes_t)):
-            flipped = {
-                d: (-c if _parity(d, primes_t, mask) else c)
-                for d, c in self._terms.items()
-            }
-            conj_product = conj_product * RadicalSum(flipped)
-        norm = self * conj_product
-        if set(norm._terms) - {1}:
-            raise ArithmeticError("conjugate norm did not collapse to a rational")
-        n = norm._terms.get(1, Fraction(0))
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return conj_product * RadicalSum({1: 1 / n})
-
-    def __truediv__(self, other) -> "RadicalSum":
-        other = _lift_rs(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
     def approx(self, precision_bits: int = 53) -> tuple[Fraction, Fraction]:
         """Dyadic midpoint plus rigorous error bound for the sum."""
-        mid = Fraction(0)
-        err = Fraction(0)
+        mid = err = Fraction(0)
         for d, c in self._terms.items():
             if d == 1:
                 mid += c
-                continue
-            cabs = abs(c)
-            extra = max(
-                0, cabs.numerator.bit_length() - cabs.denominator.bit_length() + 1
-            )
-            m, e = sqrt_bounds(d, precision_bits + 8 + extra)
-            mid += c * m
-            err += cabs * e
+            else:
+                m, e = _radical_bounds(d, c, precision_bits)
+                mid += m
+                err += e
         return mid, err
+
+    def _split(self) -> tuple[Fraction, list[tuple[int, Fraction]]]:
+        """The rational part and the (d, c) terms with d > 1."""
+        irr = [(d, c) for d, c in self._terms.items() if d != 1]
+        return self._terms.get(1, Fraction(0)), irr
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, 1}; 0 only for the zero sum.
@@ -621,16 +554,10 @@ class RadicalSum:
         terms is nonzero.  Its dyadic error bound shrinks to 0 as the
         precision doubles from 64 bits, so the loop below terminates.
         """
-        if not self._terms:
-            return 0
-        items = list(self._terms.items())
-        if len(items) == 1:
-            d, c = items[0]
-            return (c > 0) - (c < 0)
-        if len(items) == 2 and any(d == 1 for d, _ in items):
-            rat = self._terms.get(1, Fraction(0))
-            d, c = next((d, c) for d, c in items if d != 1)
-            return quad_sign(QuadExt(rat, c, d))
+        rat, irr = self._split()
+        if len(irr) <= 1:
+            d, c = irr[0] if irr else (1, Fraction(0))
+            return _quad_sign(rat, c, d)
         bits = 64
         while True:
             mid, err = self.approx(bits)
@@ -642,31 +569,19 @@ class RadicalSum:
 
     def to_quadext(self) -> QuadExt:
         """Convert back when at most one radical is present."""
-        irr = [(d, c) for d, c in self._terms.items() if d != 1]
+        a, irr = self._split()
         if len(irr) > 1:
             raise ValueError("value does not lie in a single quadratic field")
-        a = self._terms.get(1, Fraction(0))
         if not irr:
             return QuadExt(a)
         d, c = irr[0]
         return QuadExt(a, c, d)
 
     def to_float(self, precision_bits: int = 53) -> tuple[float, float]:
-        mid, err = self.approx(precision_bits)
-        value = float(mid)
-        conv = abs(value) * 2.0 ** -52 + 5e-324
-        return value, float(err) * (1 + 2.0 ** -50) + conv
+        return _float_with_bound(*self.approx(precision_bits))
 
     def __float__(self) -> float:
         return self.to_float()[0]
-
-
-def _parity(d: int, primes: Sequence[int], mask: int) -> bool:
-    flips = 0
-    for i, p in enumerate(primes):
-        if mask & (1 << i) and d % p == 0:
-            flips ^= 1
-    return bool(flips)
 
 
 def _lift_rs(x) -> Union[RadicalSum, type(NotImplemented)]:
@@ -732,9 +647,6 @@ class PlanarPoint:
 
     def norm_sq(self) -> RadicalSum:
         return RadicalSum.of(self.x * self.x, self.y * self.y)
-
-    def to_floats(self) -> tuple[float, float]:
-        return float(self.x), float(self.y)
 
 
 def point(x, y, tag: Optional[str] = None) -> PlanarPoint:
@@ -827,9 +739,6 @@ class PointSet:
 
     def negate(self) -> "PointSet":
         return PointSet(p.negate() for p in self.points)
-
-    def coordinates(self) -> list[tuple[QuadExt, QuadExt]]:
-        return [(p.x, p.y) for p in self.points]
 
 
 def _tag_key(tag: Optional[str]) -> tuple[int, str]:

@@ -34,11 +34,15 @@ class DisconnectedSurfaceError(ValueError):
     """The permutation pair does not act transitively on the sheets."""
 
 
-def _as_perm(seq, n: int, name: str) -> Perm:
-    try:
-        p = tuple(int(x) for x in seq)
-    except (TypeError, ValueError) as exc:
-        raise OrigamiFormatError(f"{name} is not an integer sequence") from exc
+def _is_int(x) -> bool:
+    """True for an int and False for a bool, a float or anything else:
+    JSON true and 1.9 are not sheet numbers."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _as_perm(p: Perm, n: int, name: str) -> Perm:
+    if not all(_is_int(x) for x in p):
+        raise OrigamiFormatError(f"{name} is not an integer sequence")
     if len(p) != n or sorted(p) != list(range(n)):
         raise OrigamiFormatError(f"{name} is not a permutation of 0..{n - 1}")
     return p
@@ -116,11 +120,11 @@ class Origami:
         if not isinstance(data, dict):
             raise OrigamiFormatError("origami JSON must be an object")
         try:
-            n = int(data["n"])
-            h = data["h"]
-            v = data["v"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise OrigamiFormatError(f"missing or bad field: {exc}") from exc
+            n, h, v = data["n"], data["h"], data["v"]
+        except KeyError as exc:
+            raise OrigamiFormatError(f"missing field: {exc}") from exc
+        if not _is_int(n):
+            raise OrigamiFormatError("n must be an integer")
         if not isinstance(h, list) or not isinstance(v, list) or len(h) != n:
             raise OrigamiFormatError("h and v must be lists of length n")
         return cls(h, v)

@@ -1,12 +1,16 @@
 """End-to-end tests of the command-line interface."""
 
+import hashlib
 import json
+import os
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
+import holoset
 from holoset import close_pair as close_pair_mod
 from holoset.cli import main
 from holoset.exact import parse_quadext, read_pointset_csv
@@ -38,6 +42,19 @@ WIDE_PAIR = {
     "l_prime": ["sqrt(2)", "0"],
     "h_prime": ["1/7", "-1/2"],
     "w_prime": "1/2",
+}
+
+
+# child interpreters import holoset from where this one did, so the
+# suite also runs from a checkout that is not installed
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        filter(
+            None,
+            (str(Path(holoset.__file__).parents[1]), os.environ.get("PYTHONPATH")),
+        )
+    ),
 }
 
 
@@ -133,6 +150,24 @@ def test_enumerate_disconnected_exits_three(tmp_path, capsys):
     assert "unreachable" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"n": 2, "h": [1.9, 0], "v": [0, 1]},
+        {"n": 2, "h": [1, 0], "v": [True, False]},
+        {"n": 2.5, "h": [1, 0], "v": [0, 1]},
+        {"n": True, "h": [0], "v": [0]},
+        {"n": 2, "h": ["1", "0"], "v": [0, 1]},
+    ],
+)
+def test_enumerate_rejects_non_integer_json(tmp_path, capsys, doc):
+    path = write_json(tmp_path / "bad.json", doc)
+    assert run("enumerate", path, "--radius", "3", "--marked") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
 # -- hole ----------------------------------------------------------------------
 
 
@@ -157,6 +192,12 @@ def test_hole_refuses_oversized(capsys):
     assert run("hole", "--radius", "10") == 2
     err = capsys.readouterr().err
     assert "refusing" in err and "digits" in err
+
+
+@pytest.mark.parametrize("max_gcd", ["-3", "-2", "0"])
+def test_hole_rejects_max_gcd_below_one(capsys, max_gcd):
+    assert run("hole", "--radius", "1", "--max-gcd", max_gcd) == 2
+    assert capsys.readouterr().err == "error: max_gcd must be >= 1\n"
 
 
 # -- example -------------------------------------------------------------------
@@ -332,9 +373,14 @@ def test_plot_bad_rows_listed(tmp_path, capsys):
 
 def test_plot_rejects_zero_point_size(tmp_path, capsys):
     csv_path = tmp_path / "pts.csv"
+    svg_path = tmp_path / "pts.svg"
     assert run("coprime", "--radius", "1", "--out", csv_path) == 0
-    assert run("plot", csv_path, "--point-size", "0") == 2
-    assert "point size" in capsys.readouterr().err
+    capsys.readouterr()
+    for size in ("0", "nan", "inf", "-inf"):
+        argv = ("plot", csv_path, f"--point-size={size}", "--out", svg_path)
+        assert run(*argv) == 2, size
+        assert capsys.readouterr().err == "error: point size must be positive\n"
+        assert not svg_path.exists()
 
 
 # -- determinism and round trips -----------------------------------------------
@@ -354,19 +400,29 @@ def test_outputs_byte_identical(tmp_path):
     pair = write_json(tmp_path / "pair.json", GOLDEN_PAIR)
     pts = tmp_path / "pts.csv"
     assert run("example", "--radius", "4", "--out", pts) == 0
+    # sha256 of each output, frozen from a reference run: a change to
+    # any byte of any output fails here, not only nondeterminism
     invocations = [
-        ("coprime", "--radius", "10"),
-        ("enumerate", origami, "--radius", "3", "--marked"),
-        ("hole", "--radius", "1"),
-        ("example", "--radius", "3"),
-        ("close-pair", pair, "--radius", "0.01"),
-        ("diagnose", pts, "--window=-2,-2,2,2",
-         "--resolution", "1/5", "--radii", "2,4"),
-        ("plot", pts),
+        (("coprime", "--radius", "10"),
+         "4f04420c2130a8dfb858dc700b9327928482fa2e5173b85724c76dd0248a00d6"),
+        (("enumerate", origami, "--radius", "3", "--marked"),
+         "7fd4295671bd060c2cd6ed159087dd496fd2643ed82d51272d06fd8b9d4557fa"),
+        (("hole", "--radius", "1"),
+         "234bb24e7892ef8070f82b4020e219f8132fd1a165a5d0512f3ef2bd0d017995"),
+        (("example", "--radius", "3"),
+         "54f6a1cb4492adf530beeef833ebce8054ee5491c64fa3bb8daab911696b6473"),
+        (("close-pair", pair, "--radius", "0.01"),
+         "a8fd23875e4e0473c36daa4ca0a12ba55485cb9677075feabe62e4df6193163d"),
+        (("diagnose", pts, "--window=-2,-2,2,2",
+          "--resolution", "1/5", "--radii", "2,4"),
+         "4c070822faacd98620387bbb2ce1867be528f14d10e33308ead391bfd4eb8a50"),
+        (("plot", pts),
+         "d4af4e51f5b8666cb4d992c68c92cdfae711a663fdd336ea2c498a182796211f"),
     ]
-    for args in invocations:
+    for args, digest in invocations:
         first, second = rerun_bytes(tmp_path, *args)
         assert first == second, f"nondeterministic output from {args[0]}"
+        assert hashlib.sha256(first).hexdigest() == digest, args[0]
 
 
 def test_written_csvs_reload_without_loss(tmp_path):
@@ -387,6 +443,7 @@ def test_module_entry_point():
         [sys.executable, "-m", "holoset", "coprime", "--radius", "1"],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 0
     assert len(data_rows(proc.stdout)) == 4
@@ -407,7 +464,10 @@ def test_subcommands_without_diagnose_do_not_import_numpy_or_scipy(tmp_path):
         """
     )
     proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 0, proc.stderr
     assert len(data_rows(proc.stdout)) > 0

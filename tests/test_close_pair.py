@@ -4,6 +4,7 @@ close-pair construction."""
 import json
 import random
 from fractions import Fraction
+from itertools import islice
 
 import mpmath
 import pytest
@@ -20,7 +21,6 @@ from holoset.close_pair import (
     cf_expand,
     close_pair,
     convergents,
-    decompose,
     inhom_approx,
     load_cylinder_pair,
 )
@@ -108,15 +108,13 @@ def test_cf_validation():
 
 def test_convergents_sqrt2():
     cf = cf_expand(SQRT2)
-    assert convergents(cf, 3) == [(1, 1), (3, 2), (7, 5), (17, 12)]
-    assert convergents(cf, 0) == [(1, 1)]
-    with pytest.raises(ValueError):
-        convergents(cf, -1)
+    assert list(islice(convergents(cf), 4)) == [(1, 1), (3, 2), (7, 5), (17, 12)]
+    assert next(convergents(cf)) == (1, 1)
 
 
 def test_convergents_golden_fibonacci():
     cf = cf_expand(GOLDEN)
-    cs = convergents(cf, 6)
+    cs = list(islice(convergents(cf), 7))
     fib = [1, 1, 2, 3, 5, 8, 13, 21, 34]
     assert cs == [(fib[i + 1], fib[i]) for i in range(7)]
 
@@ -127,7 +125,7 @@ def test_convergents_golden_fibonacci():
 )
 def test_convergent_quality(lam):
     lam_q = lam.to_quadext()
-    cs = convergents(cf_expand(lam), 9)
+    cs = list(islice(convergents(cf_expand(lam)), 10))
     prev = None
     for i in range(9):
         p, q = cs[i]
@@ -221,28 +219,7 @@ def test_inhom_random_instances():
         done += 1
 
 
-# -- decomposition and cylinders -----------------------------------------
-
-
-def test_decompose_examples():
-    h1, h2 = decompose((3, 4), (1, 0))
-    assert h1 == (3, 0) and h2 == (0, 4)
-    h1, h2 = decompose((1, 1), (1, 1))
-    assert h1 == (1, 1) and h2 == (0, 0)
-    h1, h2 = decompose((1, 0), (1, 1))
-    assert h1 == (Fraction(1, 2), Fraction(1, 2))
-    assert h2 == (Fraction(1, 2), Fraction(-1, 2))
-
-
-def test_decompose_zero_direction():
-    with pytest.raises(ValueError):
-        decompose((1, 0), (0, 0))
-
-
-def test_decompose_mixed_fields_raises():
-    h = (QuadExt(0, 1, 2), QuadExt(0, 1, 3))
-    with pytest.raises(FieldMismatchError):
-        decompose(h, (1, 1))
+# -- cylinders ---------------------------------------------------------------------
 
 
 UNIT = Cylinder((1, 0), (Fraction(1, 3), Fraction(1, 50)), Fraction(1, 50))

@@ -1,6 +1,5 @@
 """Tests for gap, covering and growth diagnostics."""
 
-import io
 import json
 import math
 import random
@@ -22,7 +21,6 @@ from holoset.diagnostics import (
     growth_counts,
     min_gap,
     report_to_json_dict,
-    write_counts_csv,
 )
 from holoset.double_cover import closed_form
 from holoset.exact import PlanarPoint, PointSet, QuadExt, point
@@ -160,7 +158,7 @@ def test_covering_detects_crt_hole():
 
 
 def test_growth_counts_coprime_density():
-    growth = growth_counts(coprime_points, (20, 50))
+    growth = growth_counts(coprime_points(50), (20, 50))
     target = 6 / math.pi
     for coeff in growth.coefficients:
         assert abs(coeff - target) / target < 0.05
@@ -169,29 +167,54 @@ def test_growth_counts_coprime_density():
 
 
 def test_growth_counts_full_lattice():
-    growth = growth_counts(
-        lambda r: gcd_filtered_points(10 ** 9, r), (20, 40)
-    )
+    growth = growth_counts(gcd_filtered_points(10 ** 9, 40), (20, 40))
     for coeff in growth.coefficients:
         assert abs(coeff - math.pi) / math.pi < 0.05
 
 
 def test_growth_flags_linear_sets():
-    def line(r):
-        k = int(r)
-        return PointSet([point(i, 0) for i in range(-k, k + 1)])
-
+    line = PointSet([point(i, 0) for i in range(-64, 65)])
     growth = growth_counts(line, (2, 8, 64))
+    assert [n for _, n in growth.counts] == [5, 17, 129]
     assert growth.non_quadratic
+
+
+def test_growth_counts_closed_ball_counts_exact_ties():
+    # (4+sqrt(2), 4-sqrt(2)) has norm exactly 6 and (sqrt(2), 7/4) has
+    # norm exactly 9/4: a closed ball of that radius holds the point, one
+    # just smaller does not.
+    ps = PointSet(
+        [
+            point(1, 0),
+            point(QuadExt(0, 1, 2), Fraction(7, 4)),
+            point(QuadExt(4, 1, 2), QuadExt(4, -1, 2)),
+        ]
+    )
+    tiny = Fraction(1, 10**30)
+    radii = (1, Fraction(9, 4) - tiny, Fraction(9, 4), 6 - tiny, 6)
+    growth = growth_counts(ps, radii)
+    assert [n for _, n in growth.counts] == [1, 1, 2, 2, 3]
+
+
+def test_growth_counts_the_set_it_is_given():
+    ps = coprime_points(10)
+    growth = growth_counts(ps, (1, 2, 3, 10, 20))
+    assert [n for _, n in growth.counts] == [
+        4,
+        8,
+        len(coprime_points(3)),
+        len(ps),
+        len(ps),
+    ]
 
 
 def test_growth_validation():
     with pytest.raises(ValueError):
-        growth_counts(coprime_points, ())
+        growth_counts(coprime_points(5), ())
     with pytest.raises(ValueError):
-        growth_counts(coprime_points, (5, 5))
+        growth_counts(coprime_points(5), (5, 5))
     with pytest.raises(ValueError):
-        growth_counts(coprime_points, (0, 5))
+        growth_counts(coprime_points(5), (0, 5))
 
 
 def test_delone_report_example_surface():
@@ -222,10 +245,3 @@ def test_report_json_round_trip():
     assert back["label"] == ESTIMATE_LABEL
     assert len(back["min_gap"]["pair"]) == 2
     assert back["growth"]["counts"][0][0] == "1"
-
-
-def test_counts_csv_format():
-    growth = growth_counts(coprime_points, (1, 2))
-    buf = io.StringIO()
-    write_counts_csv(buf, growth)
-    assert buf.getvalue() == "radius,count\n1,4\n2,8\n"
