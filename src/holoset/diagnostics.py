@@ -9,6 +9,8 @@ infinite set is implied.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -117,6 +119,19 @@ def _as_window(window) -> Window:
     return x0, y0, x1, y1
 
 
+# The covering search queries one representative center per block of
+# _COVER_BLOCK x _COVER_BLOCK grid centers, then every center of the
+# blocks that could still hold the largest distance.
+_COVER_BLOCK = 8
+# Largest grid searched: a finer one raises ValueError before anything is
+# allocated, instead of exhausting memory (25x the 2001 x 2001 grid of a
+# 20 x 20 window at resolution 1/100).
+COVER_GRID_CAP = 10**8
+# centers per KD-tree query: the arrays of one query set the search's
+# peak memory
+_QUERY_CHUNK = 50_000
+
+
 def covering_radius(
     ps: PointSet, window, resolution
 ) -> CoveringResult:
@@ -125,13 +140,15 @@ def covering_radius(
     Centers are spaced `resolution` apart starting at the window's lower
     left corner; the reported radius is within resolution*sqrt(2) of the
     true largest-empty-disk radius over the window.  Ties go to the
-    first center in x-major order.
-    """
-    # numpy and scipy load here, not at module level, so subcommands
-    # that never search a covering radius start without them
-    import numpy as np
-    from scipy.spatial import cKDTree
+    first center in x-major order.  Grids of more than COVER_GRID_CAP
+    centers raise ValueError.
 
+    The result is that of querying every center.  The distance to the
+    nearest point is 1-Lipschitz, so a block of centers whose
+    representative lies d from the set holds no center farther than d
+    plus the block's half-diagonal; only blocks whose bound reaches the
+    largest distance found so far are queried in full.
+    """
     points = ps.points
     if not points:
         raise ValueError("point set is empty")
@@ -139,34 +156,79 @@ def covering_radius(
     res = as_fraction(resolution)
     if res <= 0:
         raise ValueError("resolution must be positive")
+    nx = int((x1 - x0) / res) + 1
+    ny = int((y1 - y0) / res) + 1
+    if nx * ny > COVER_GRID_CAP:
+        raise ValueError(
+            f"covering grid would have {nx * ny} centers (cap is "
+            f"{COVER_GRID_CAP}); use a coarser resolution or a smaller window"
+        )
+    # numpy and scipy load here, not at module level, so subcommands
+    # that never search a covering radius start without them
+    import numpy as np
+    from scipy.spatial import cKDTree
+
     # exact translation to the window origin keeps floats accurate for
     # far-from-origin windows
     coords = np.empty((len(points), 2), dtype=float)
     for k, p in enumerate(points):
-        coords[k, 0] = (p.x - x0).to_float()[0]
-        coords[k, 1] = (p.y - y0).to_float()[0]
+        coords[k, 0] = float(p.x - x0)
+        coords[k, 1] = float(p.y - y0)
     tree = cKDTree(coords)
-    nx = int((x1 - x0) / res) + 1
-    ny = int((y1 - y0) / res) + 1
     resf = float(res)
-    ys_row = np.arange(ny, dtype=float) * resf
-    best = -1.0
-    best_ij = (0, 0)
-    chunk_rows = max(1, 200_000 // max(ny, 1))
-    for ix0 in range(0, nx, chunk_rows):
-        rows = range(ix0, min(ix0 + chunk_rows, nx))
-        centers = np.empty((len(rows) * ny, 2), dtype=float)
-        for r, ix in enumerate(rows):
-            centers[r * ny : (r + 1) * ny, 0] = ix * resf
-            centers[r * ny : (r + 1) * ny, 1] = ys_row
-        dists, _ = tree.query(centers, k=1, workers=1)
-        k = int(np.argmax(dists))
-        if dists[k] > best:
-            best = float(dists[k])
-            best_ij = (ix0 + k // ny, k % ny)
-    cx = x0 + best_ij[0] * res
-    cy = y0 + best_ij[1] * res
+
+    def nearest(ix, iy):
+        centers = np.column_stack((ix * resf, iy * resf))
+        return tree.query(centers, k=1, workers=1)[0]
+
+    block = _COVER_BLOCK
+    nby = -(-ny // block)
+    n_blocks = -(-nx // block) * nby
+    offsets = np.arange(block)
+    # every center lies within block//2 steps of its block's
+    # representative on each axis
+    half_diag = (block // 2) * resf * 2.0**0.5
+    best = rep_best = -1.0
+    best_lin = 0
+    per_chunk = max(1, _QUERY_CHUNK // (block * block))
+    for k0 in range(0, n_blocks, _QUERY_CHUNK):
+        k = np.arange(k0, min(k0 + _QUERY_CHUNK, n_blocks))
+        ox, oy = (k // nby) * block, (k % nby) * block
+        rep_d = nearest(
+            np.minimum(ox + block // 2, nx - 1), np.minimum(oy + block // 2, ny - 1)
+        )
+        rep_best = max(rep_best, float(rep_d.max()))
+        # a block can hold the maximum only if its bound reaches every
+        # distance found so far; the margin covers float rounding of
+        # centers and distances
+        margin = 2.0**-40 * (rep_best + half_diag + max(nx, ny) * resf)
+        keep = rep_d + (half_diag + margin) >= max(rep_best, best)
+        ox, oy = ox[keep], oy[keep]
+        for c0 in range(0, len(ox), per_chunk):
+            ix = ox[c0 : c0 + per_chunk, None, None] + offsets[None, :, None]
+            iy = oy[c0 : c0 + per_chunk, None, None] + offsets[None, None, :]
+            ix, iy = np.broadcast_arrays(ix, iy)
+            inside = (ix < nx) & (iy < ny)
+            ix, iy = ix[inside], iy[inside]
+            dists = nearest(ix, iy)
+            top = float(dists.max())
+            if top >= best:
+                # ties go to the first center in x-major order
+                lin = int((ix * ny + iy)[dists == top].min())
+                if top > best or lin < best_lin:
+                    best, best_lin = top, lin
+    cx = x0 + (best_lin // ny) * res
+    cy = y0 + (best_lin % ny) * res
     return CoveringResult(best, (float(cx), float(cy)), (cx, cy))
+
+
+def _bracket(n: RadicalSum) -> tuple[float, float]:
+    """n as a float and a bound on its error; (inf, inf) beyond the float
+    range, so that such a norm is always decided exactly."""
+    try:
+        return n.to_float()
+    except OverflowError:
+        return math.inf, math.inf
 
 
 def growth_counts(ps: PointSet, radii: Sequence) -> GrowthCounts:
@@ -183,11 +245,25 @@ def growth_counts(ps: PointSet, radii: Sequence) -> GrowthCounts:
         raise ValueError("radii must be strictly increasing")
     if rs[0] <= 0:
         raise ValueError("radii must be positive")
-    norms = [p.norm_sq() for p in ps.points]
+    # every norm once, as a float with a rigorous bound, sorted by the float
+    bracketed = sorted(
+        (_bracket(n) + (n,) for n in (p.norm_sq() for p in ps.points)),
+        key=lambda t: t[0],
+    )
+    values = [v for v, _, _ in bracketed]
+    slack = max((e for _, e, _ in bracketed), default=0.0)
     counts = []
     for r in rs:
-        rsq = RadicalSum.of(r * r)
-        counts.append((r, sum((n - rsq).sign() <= 0 for n in norms)))
+        rsq = r * r
+        t = float(rsq)
+        # a norm whose float lies farther than w from float(r^2) is
+        # decided by the float: w covers every norm's bound, the rounding
+        # of float(r^2) and that of t -/+ w; the rest take an exact sign
+        w = slack * (1 + 2.0**-48) + abs(t) * 2.0**-48 + 5e-324
+        lo = bisect_left(values, t - w)
+        hi = bisect_right(values, t + w)
+        near = sum((n - rsq).sign() <= 0 for _, _, n in bracketed[lo:hi])
+        counts.append((r, lo + near))
     counts = tuple(counts)
     coefficients = tuple(n / float(r * r) for r, n in counts)
     top = coefficients[len(coefficients) // 2 :]

@@ -12,6 +12,7 @@ other singularity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -74,11 +75,42 @@ def closed_form(shift: Optional[ShiftVector], radius) -> PointSet:
     for sx, sy, tag in ((tx, ty, TAG_UV), (-tx, -ty, TAG_VU)):
         for a in _int_range(-R - sx - 1, R - sx + 1):
             x = a + sx
-            for b in _int_range(-R - sy - 1, R - sy + 1):
-                y = b + sy
-                if _norm_le(x, y, R2):
-                    pts.append(PlanarPoint(x, y, tag))
+            for b in _ball_row(x, sy, R2):
+                pts.append(PlanarPoint(x, b + sy, tag))
     return PointSet(pts)
+
+
+def _ball_row(x: QuadExt, sy: QuadExt, R2: Fraction) -> range:
+    """The integers b with x^2 + (b + sy)^2 <= R2, an interval in b.
+
+    Floats place its ends; exact tests walk each end until it flips, so
+    only a few exact signs are taken per row.
+    """
+
+    def inside(b: int) -> bool:
+        return _norm_le(x, b + sy, R2)
+
+    def end(b: int, step: int) -> int:
+        """The last member met walking from b by step, given that the
+        walk back from b reaches a member."""
+        if inside(b):
+            while inside(b + step):
+                b += step
+            return b
+        b -= step
+        while not inside(b):
+            b -= step
+        return b
+
+    # b_mid minimises |b + sy|, so the row is empty iff b_mid is outside
+    b_mid = (Fraction(1, 2) - sy).floor()
+    if not inside(b_mid):
+        return range(0)
+    half = math.sqrt(max(float(R2) - float(x) ** 2, 0.0))
+    syf = float(sy)
+    lo = min(math.ceil(-half - syf), b_mid)
+    hi = max(math.floor(half - syf), b_mid)
+    return range(end(lo, -1), end(hi, 1) + 1)
 
 
 def _strictly_between(w, src, dst) -> bool:

@@ -310,6 +310,23 @@ def test_diagnose_bad_rows_listed(tmp_path, capsys):
     assert "lines [3]" in capsys.readouterr().err
 
 
+def test_diagnose_grid_over_cap_exits_two(tmp_path, capsys):
+    csv_path = tmp_path / "pts.csv"
+    assert run("coprime", "--radius", "2", "--out", csv_path) == 0
+    capsys.readouterr()
+    code = run(
+        "diagnose", csv_path, "--window=0,0,1,1",
+        "--resolution", "1/1000000000000", "--radii", "1",
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: covering grid would have 1000000000002000000000001 centers "
+        "(cap is 100000000); use a coarser resolution or a smaller window\n"
+    )
+
+
 def test_diagnose_window_arity_checked():
     with pytest.raises(SystemExit) as exc:
         run("diagnose", "x.csv", "--window", "1,2,3",
@@ -400,6 +417,8 @@ def test_outputs_byte_identical(tmp_path):
     pair = write_json(tmp_path / "pair.json", GOLDEN_PAIR)
     pts = tmp_path / "pts.csv"
     assert run("example", "--radius", "4", "--out", pts) == 0
+    pts8 = tmp_path / "pts8.csv"
+    assert run("example", "--radius", "8", "--out", pts8) == 0
     # sha256 of each output, frozen from a reference run: a change to
     # any byte of any output fails here, not only nondeterminism
     invocations = [
@@ -418,6 +437,12 @@ def test_outputs_byte_identical(tmp_path):
          "4c070822faacd98620387bbb2ce1867be528f14d10e33308ead391bfd4eb8a50"),
         (("plot", pts),
          "d4af4e51f5b8666cb4d992c68c92cdfae711a663fdd336ea2c498a182796211f"),
+        # a 501x501 grid, large enough that the covering search prunes
+        (("diagnose", pts8, "--window=-5,-5,5,5",
+          "--resolution", "1/50", "--radii", "2,4,8"),
+         "16ada7c825d64ef86da6fb89134a09cbcde8d86ad0837c7550a93240a0d95dcd"),
+        (("example", "--radius", "157/20"),
+         "c2d205446ed349919a270855ef2e2bac2b48a26b71c490da14019a198504ce0a"),
     ]
     for args, digest in invocations:
         first, second = rerun_bytes(tmp_path, *args)

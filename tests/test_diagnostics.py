@@ -13,8 +13,10 @@ from holoset.coprime import (
     gcd_filtered_points,
     gcd_filtered_window,
 )
+from holoset import diagnostics
 from holoset.diagnostics import (
     ESTIMATE_LABEL,
+    CoveringResult,
     DeloneReport,
     covering_radius,
     delone_report,
@@ -23,7 +25,14 @@ from holoset.diagnostics import (
     report_to_json_dict,
 )
 from holoset.double_cover import closed_form
-from holoset.exact import PlanarPoint, PointSet, QuadExt, point
+from holoset.exact import (
+    PlanarPoint,
+    PointSet,
+    QuadExt,
+    RadicalSum,
+    point,
+    sqrt_bounds_frac,
+)
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -157,6 +166,92 @@ def test_covering_detects_crt_hole():
     assert res.radius >= 1.0 - 1e-9
 
 
+def brute_force_covering(ps, window, resolution):
+    """Every grid center queried at once; numpy's argmax returns the
+    first maximum, which in this x-major layout is the tie rule."""
+    import numpy as np
+    from scipy.spatial import cKDTree
+
+    x0, y0, x1, y1 = (Fraction(v) for v in window)
+    res = Fraction(resolution)
+    coords = [(float(p.x - x0), float(p.y - y0)) for p in ps.points]
+    nx = int((x1 - x0) / res) + 1
+    ny = int((y1 - y0) / res) + 1
+    ix, iy = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+    resf = float(res)
+    centers = np.column_stack((ix.ravel() * resf, iy.ravel() * resf))
+    dists = cKDTree(coords).query(centers, k=1)[0]
+    k = int(np.argmax(dists))
+    cx = x0 + (k // ny) * res
+    cy = y0 + (k % ny) * res
+    return CoveringResult(float(dists[k]), (float(cx), float(cy)), (cx, cy))
+
+
+@pytest.mark.parametrize("chunk", [None, 64])
+def test_covering_matches_brute_force_with_ties(monkeypatch, chunk):
+    # the unit lattice: every half-integer center of the window ties;
+    # with one block per query chunk, the ties span several chunks
+    if chunk:
+        monkeypatch.setattr(diagnostics, "_QUERY_CHUNK", chunk)
+    ps = gcd_filtered_points(10 ** 9, 10)
+    window, res = (1, 1, 3, 3), Fraction(1, 100)
+    got = covering_radius(ps, window, res)
+    assert got == brute_force_covering(ps, window, res)
+    assert got.center_exact == (Fraction(3, 2), Fraction(3, 2))
+
+
+def test_covering_matches_brute_force_on_benchmark_windows():
+    ps = closed_form(None, 16)
+    offsets = [(0, 0), (1, 0), (0, -1), (-1, 1), (2, 2), (-2, -1)]
+    for ox, oy in offsets:
+        ox, oy = Fraction(ox, 2), Fraction(oy, 2)
+        window = (ox - 10, oy - 10, ox + 10, oy + 10)
+        res = Fraction(1, 20)
+        assert covering_radius(ps, window, res) == brute_force_covering(
+            ps, window, res
+        ), window
+
+
+@pytest.mark.parametrize(
+    "window, res",
+    [
+        ((0, 0, Fraction(1, 2), Fraction(1, 4)), Fraction(1, 10)),  # 6 x 3
+        ((-3, -2, 3, Fraction(5, 2)), Fraction(1, 7)),  # 43 x 32
+        ((-1, -4, -1, 4), Fraction(1, 9)),  # 1 x 73
+        ((-4, Fraction(1, 3), 4, Fraction(1, 3)), Fraction(2, 11)),  # 45 x 1
+        ((Fraction(1, 3), Fraction(2, 3), Fraction(1, 3), Fraction(2, 3)), 1),
+    ],
+)
+def test_covering_matches_brute_force_on_ragged_grids(window, res):
+    # blocks cut off at the grid's edges, grids smaller than one block,
+    # one-row and one-column grids and a single center
+    ps = closed_form(None, 5)
+    assert covering_radius(ps, window, res) == brute_force_covering(
+        ps, window, res
+    )
+
+
+@pytest.mark.parametrize("chunk", [None, 64])
+def test_covering_matches_brute_force_on_crt_hole(monkeypatch, chunk):
+    if chunk:
+        monkeypatch.setattr(diagnostics, "_QUERY_CHUNK", chunk)
+    cert = crt_hole(1, 1)
+    cx, cy = cert.center
+    ps = gcd_filtered_window(1, (cx - 6, cy - 6, cx + 6, cy + 6))
+    window, res = (cx - 1, cy - 1, cx + 1, cy + 1), Fraction(1, 40)
+    assert covering_radius(ps, window, res) == brute_force_covering(
+        ps, window, res
+    )
+
+
+def test_covering_grid_cap(monkeypatch):
+    monkeypatch.setattr(diagnostics, "COVER_GRID_CAP", 110)
+    ps = PointSet([point(0, 0)])
+    assert covering_radius(ps, (0, 0, 9, 10), 1).center_exact == (9, 10)
+    with pytest.raises(ValueError, match="would have 121 centers"):
+        covering_radius(ps, (0, 0, 10, 10), 1)
+
+
 def test_growth_counts_coprime_density():
     growth = growth_counts(coprime_points(50), (20, 50))
     target = 6 / math.pi
@@ -206,6 +301,61 @@ def test_growth_counts_the_set_it_is_given():
         len(ps),
         len(ps),
     ]
+
+
+def sqrt_bracket(n: RadicalSum):
+    """Rationals lo < sqrt(n) < hi less than 1e-30 apart, for irrational
+    sqrt(n)."""
+    mid, err = n.approx(200)
+    lo = sqrt_bounds_frac(mid - err, 120)[0]
+    hi = sqrt_bounds_frac(mid + err, 120)[1]
+    assert hi - lo < Fraction(1, 10**30)
+    return lo, hi
+
+
+def exact_counts(points, radii):
+    """Points in each closed ball, one exact sign per point and radius."""
+    return [
+        sum((p.norm_sq() - RadicalSum.of(r * r)).sign() <= 0 for p in points)
+        for r in radii
+    ]
+
+
+def test_growth_counts_radii_at_two_radical_norms():
+    ps = closed_form(None, 6)
+    # norms with a rational, a sqrt(2) and a sqrt(3) term
+    norms = [n for n in (p.norm_sq() for p in ps.points) if len(n.terms) == 3]
+    norms = norms[::20]
+    assert len(norms) >= 5
+    radii = sorted({r for n in norms for r in sqrt_bracket(n)})
+    growth = growth_counts(ps, radii)
+    expected = exact_counts(ps.points, radii)
+    assert [n for _, n in growth.counts] == expected
+    # each bracket straddles one norm, so the count steps up across it
+    assert expected[1] > expected[0]
+
+
+def test_growth_counts_norms_lost_to_cancellation():
+    # x = p - q*sqrt(2) for convergents p/q of sqrt(2): the float of
+    # x^2 = p^2 + 2q^2 - 2pq*sqrt(2) carries no correct digit
+    pts, p, q = [], 1, 1
+    for _ in range(40):
+        p, q = p + 2 * q, p + q
+        pts.append(point(QuadExt(p, -q, 2), 0))
+    ps = PointSet(pts)
+    radii = set()
+    for pt in pts[-12:]:
+        mid, err = pt.x.approx(200)
+        radii |= {abs(mid) - err, abs(mid) + err}
+    radii = sorted(radii)
+    growth = growth_counts(ps, radii)
+    assert [n for _, n in growth.counts] == exact_counts(pts, radii)
+
+
+def test_growth_counts_points_beyond_float_range():
+    ps = PointSet([point(1, 0), point(QuadExt(10**200, 1, 2), 0)])
+    growth = growth_counts(ps, (1, 2))
+    assert [n for _, n in growth.counts] == [1, 1]
 
 
 def test_growth_validation():

@@ -11,11 +11,19 @@ from holoset.double_cover import (
     TAG_UV,
     TAG_VU,
     ShiftVector,
+    _ball_row,
     closed_form,
     geometric_oracle,
     slope_class,
 )
-from holoset.exact import PlanarPoint, QuadExt, RadicalSum, point
+from holoset.exact import (
+    PlanarPoint,
+    PointSet,
+    QuadExt,
+    RadicalSum,
+    point,
+    sqrt_bounds_frac,
+)
 
 SQRT2M1 = QuadExt(-1, 1, 2)
 SQRT3M1 = QuadExt(-1, 1, 3)
@@ -121,6 +129,76 @@ def test_oracle_nondefault_shift_agrees():
         ty=QuadExt(-2, 1, 5),
     )
     assert closed_form(shift, 2) == geometric_oracle(shift, 2)
+
+
+def reference_closed_form(shift, radius):
+    """closed_form with one exact ball test per candidate."""
+    shift = shift or ShiftVector()
+    R = Fraction(radius)
+    R2 = R * R
+    pts = [PlanarPoint(p.x, p.y, TAG_UU) for p in coprime_points(R)]
+    for sx, sy, tag in (
+        (shift.tx, shift.ty, TAG_UV),
+        (-shift.tx, -shift.ty, TAG_VU),
+    ):
+        for a in range((-R - sx - 1).floor(), (R - sx + 1).floor() + 2):
+            x = a + sx
+            for b in range((-R - sy - 1).floor(), (R - sy + 1).floor() + 2):
+                y = b + sy
+                if RadicalSum.of(x * x, y * y, -R2).sign() <= 0:
+                    pts.append(PlanarPoint(x, y, tag))
+    return PointSet(pts)
+
+
+def radii_around(v):
+    """Rationals lo < |v| < hi less than 1e-30 apart."""
+    mid, err = v.norm_sq().approx(200)
+    lo = sqrt_bounds_frac(mid - err, 120)[0]
+    hi = sqrt_bounds_frac(mid + err, 120)[1]
+    assert hi - lo < Fraction(1, 10**30)
+    return lo, hi
+
+
+@pytest.mark.parametrize(
+    "shift",
+    [
+        None,
+        ShiftVector(
+            tx=QuadExt(Fraction(-1, 2), Fraction(1, 2), 2),
+            ty=QuadExt(-2, 1, 5),
+        ),
+    ],
+)
+def test_closed_form_at_radii_next_to_shifted_points(shift):
+    # each radius puts one shifted point within 1e-30 of the sphere, at
+    # the end of its row of the ball
+    s = shift or ShiftVector()
+    targets = [
+        point(a + s.tx, b + s.ty) for a, b in ((3, 2), (-4, 1), (0, -5))
+    ] + [point(a - s.tx, b - s.ty) for a, b in ((2, -3), (-1, 4), (5, 0))]
+    for v in targets:
+        lo, hi = radii_around(v)
+        below, above = closed_form(shift, lo), closed_form(shift, hi)
+        assert v not in below and v in above
+        for got, r in ((below, lo), (above, hi)):
+            ref = reference_closed_form(shift, r)
+            assert got == ref and tags_of(got) == tags_of(ref)
+
+
+def test_ball_row_where_floats_lose_the_row():
+    # at x ~ 1e9 the float of R^2 - x^2 is off by hundreds, so the float
+    # ends of the row can be several steps wrong; the exact walk mends them
+    x = 10**9 + SQRT2M1
+    xx = x * x
+    for extra in (Fraction(1, 2), 7, 100, Fraction(1001, 3), 2000):
+        R2 = xx.a + xx.b * Fraction(14142135623730951, 10**16) + extra
+        expected = [
+            b
+            for b in range(-80, 80)
+            if RadicalSum.of(xx, (b + SQRT3M1) * (b + SQRT3M1), -R2).sign() <= 0
+        ]
+        row = _ball_row(x, SQRT3M1, R2)
+        assert list(row) == expected and expected, extra
 
 
 def test_rejects_nonpositive_radius():
