@@ -45,6 +45,7 @@ from .diagnostics import delone_report, report_to_json_dict
 from .double_cover import closed_form, geometric_oracle
 from .exact import (
     CsvRowError,
+    FloatRangeError,
     ParseError,
     PointSet,
     as_fraction,
@@ -235,7 +236,12 @@ def render_svg(ps: PointSet, point_size: float = 2.0, axis_range=None) -> str:
     """
     if not (point_size > 0 and math.isfinite(point_size)):
         raise ValueError("point size must be positive")
-    coords = [(float(p.x), -float(p.y), p.tag) for p in ps]
+    coords = []
+    for p in ps:
+        try:
+            coords.append((float(p.x), -float(p.y), p.tag))
+        except OverflowError:
+            raise FloatRangeError(p) from None
     if axis_range is not None:
         x0, y0, x1, y1 = (float(v) for v in axis_range)
         if x1 <= x0 or y1 <= y0:

@@ -9,18 +9,19 @@ infinite set is implied.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .exact import (
+    FloatRangeError,
     PlanarPoint,
     PointSet,
     RadicalSum,
     as_fraction,
     format_quadext,
+    norm_sq_bracket,
     sqrt_with_error,
 )
 
@@ -69,8 +70,11 @@ def _local_floats(points: Sequence[PlanarPoint]) -> tuple[list, list, float]:
     ys: list[float] = []
     worst = 0.0
     for p in points:
-        fx, ex = (p.x - ref.x).to_float()
-        fy, ey = (p.y - ref.y).to_float()
+        try:
+            fx, ex = (p.x - ref.x).to_float()
+            fy, ey = (p.y - ref.y).to_float()
+        except OverflowError:
+            raise FloatRangeError(p) from None
         xs.append(fx)
         ys.append(fy)
         worst = max(worst, ex, ey)
@@ -105,7 +109,11 @@ def min_gap(ps: PointSet) -> MinGapResult:
     witness: Optional[tuple[int, int]] = None
     for i, j in sorted(tree.query_pairs(best + margin)):
         sq = points[i].dist_sq(points[j])
-        if best_exact is None or (sq - best_exact).sign() < 0:
+        # RadicalSum is canonical, so termwise equality is value equality
+        # and an exact tie needs no sign
+        if best_exact is None or (
+            sq != best_exact and (sq - best_exact).sign() < 0
+        ):
             best_exact = sq
             witness = (i, j)
     gap, err = sqrt_with_error(best_exact)
@@ -172,8 +180,11 @@ def covering_radius(
     # far-from-origin windows
     coords = np.empty((len(points), 2), dtype=float)
     for k, p in enumerate(points):
-        coords[k, 0] = float(p.x - x0)
-        coords[k, 1] = float(p.y - y0)
+        try:
+            coords[k, 0] = float(p.x - x0)
+            coords[k, 1] = float(p.y - y0)
+        except OverflowError:
+            raise FloatRangeError(p) from None
     tree = cKDTree(coords)
     resf = float(res)
 
@@ -222,13 +233,16 @@ def covering_radius(
     return CoveringResult(best, (float(cx), float(cy)), (cx, cy))
 
 
-def _bracket(n: RadicalSum) -> tuple[float, float]:
-    """n as a float and a bound on its error; (inf, inf) beyond the float
-    range, so that such a norm is always decided exactly."""
+def _square_float(r: Fraction) -> float:
+    """float(r*r), which the coefficient N(R)/R^2 divides by; ValueError
+    naming r when it overflows or underflows to 0."""
     try:
-        return n.to_float()
+        t = float(r * r)
     except OverflowError:
-        return math.inf, math.inf
+        t = 0.0
+    if not t:
+        raise ValueError(f"radius {r}: its square lies beyond the float range")
+    return t
 
 
 def growth_counts(ps: PointSet, radii: Sequence) -> GrowthCounts:
@@ -245,27 +259,30 @@ def growth_counts(ps: PointSet, radii: Sequence) -> GrowthCounts:
         raise ValueError("radii must be strictly increasing")
     if rs[0] <= 0:
         raise ValueError("radii must be positive")
-    # every norm once, as a float with a rigorous bound, sorted by the float
+    ts = [_square_float(r) for r in rs]
+    # every norm once, as a float with a rigorous bound, sorted by the
+    # float; a norm beyond the float range is (inf, inf), so always exact
     bracketed = sorted(
-        (_bracket(n) + (n,) for n in (p.norm_sq() for p in ps.points)),
+        (norm_sq_bracket(p.x, p.y) + (p,) for p in ps.points),
         key=lambda t: t[0],
     )
     values = [v for v, _, _ in bracketed]
     slack = max((e for _, e, _ in bracketed), default=0.0)
     counts = []
-    for r in rs:
+    for r, t in zip(rs, ts):
         rsq = r * r
-        t = float(rsq)
         # a norm whose float lies farther than w from float(r^2) is
         # decided by the float: w covers every norm's bound, the rounding
         # of float(r^2) and that of t -/+ w; the rest take an exact sign
         w = slack * (1 + 2.0**-48) + abs(t) * 2.0**-48 + 5e-324
         lo = bisect_left(values, t - w)
         hi = bisect_right(values, t + w)
-        near = sum((n - rsq).sign() <= 0 for _, _, n in bracketed[lo:hi])
+        near = sum(
+            (p.norm_sq() - rsq).sign() <= 0 for _, _, p in bracketed[lo:hi]
+        )
         counts.append((r, lo + near))
     counts = tuple(counts)
-    coefficients = tuple(n / float(r * r) for r, n in counts)
+    coefficients = tuple(n / t for (_, n), t in zip(counts, ts))
     top = coefficients[len(coefficients) // 2 :]
     low, high = min(top), max(top)
     non_quadratic = low == 0 or high / low > 4

@@ -25,6 +25,7 @@ from .exact import (
     as_fraction,
     cross,
     dot,
+    norm_sq_bracket,
     point,
 )
 from .coprime import coprime_points
@@ -52,6 +53,25 @@ class ShiftVector:
 
 
 def _norm_le(x: QuadExt, y: QuadExt, R2: Fraction) -> bool:
+    """x^2 + y^2 <= R2, decided by the float bracket n +/- w of the norm
+    unless float(R2) lies near it; then by an exact sign.
+
+    t = float(R2) is within t*2**-53 + 2**-1075 of R2.  As evaluated,
+    band still exceeds w*(1 + 2**-49) + t*2**-49 + 2**-1001, which covers
+    that and the 2**-53 relative rounding of n +/- band; so n + band < t
+    puts the whole bracket below R2 and n - band > t puts it above.  inf
+    or nan anywhere decides nothing.
+    """
+    n, w = norm_sq_bracket(x, y)
+    try:
+        t = float(R2)
+    except OverflowError:
+        t = math.inf
+    band = w * (1 + 2.0**-48) + t * 2.0**-48 + 2.0**-1000
+    if n + band < t:
+        return True
+    if n - band > t:
+        return False
     return RadicalSum.of(x * x, y * y, -R2).sign() <= 0
 
 
@@ -113,11 +133,49 @@ def _ball_row(x: QuadExt, sy: QuadExt, R2: Fraction) -> range:
     return range(end(lo, -1), end(hi, 1) + 1)
 
 
+def _off_line(w, src, dst) -> bool:
+    """True when w is certainly not on the line through src and dst: the
+    float cross product c of (w - src) and (dst - src), from the six
+    to_float brackets, exceeds its error bound.
+
+    With u = w - src and v = dst - src in floats, each component is off by
+    its two brackets' bounds plus 2**-52 of itself for the subtraction;
+    then |Ux*Vy - ux*vy| <= |ux|*e(vy) + |vy|*e(ux) + e(ux)*e(vy), and
+    likewise for uy*vx.  The two products and their difference round by
+    at most 2**-51 of |ux*vy| + |uy*vx| in all, covered by 2**-50 of it,
+    plus 2**-1074 per operation below the normal range, covered by
+    2**-1000; the factor 1 + 2**-48 covers the rounding of the bound's
+    own evaluation.  Overflow, inf or nan decide nothing.
+    """
+    try:
+        (wx, ewx), (wy, ewy) = w[0].to_float(), w[1].to_float()
+        (sx, esx), (sy, esy) = src[0].to_float(), src[1].to_float()
+        (dx, edx), (dy, edy) = dst[0].to_float(), dst[1].to_float()
+    except OverflowError:
+        return False
+    ux, uy, vx, vy = wx - sx, wy - sy, dx - sx, dy - sy
+    eux = ewx + esx + abs(ux) * 2.0**-52
+    euy = ewy + esy + abs(uy) * 2.0**-52
+    evx = edx + esx + abs(vx) * 2.0**-52
+    evy = edy + esy + abs(vy) * 2.0**-52
+    p, q = ux * vy, uy * vx
+    bound = (
+        abs(ux) * evy + abs(vy) * eux + eux * evy
+        + abs(uy) * evx + abs(vx) * euy + euy * evx
+        + (abs(p) + abs(q)) * 2.0**-50
+    ) * (1 + 2.0**-48) + 2.0**-1000
+    return abs(p - q) > bound
+
+
 def _strictly_between(w, src, dst) -> bool:
     """Exact test: w lies on the open segment (src, dst).
 
-    Assumes nothing about fields; all arithmetic goes through RadicalSum.
+    Triples that :func:`_off_line` rejects are not collinear; the rest are
+    decided exactly.  Assumes nothing about fields; all arithmetic goes
+    through RadicalSum.
     """
+    if _off_line(w, src, dst):
+        return False
     wx, wy = w
     sx, sy = src
     dx, dy = dst

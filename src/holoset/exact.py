@@ -15,10 +15,12 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, ulp
+from math import floor as _floor, inf, isqrt, ulp
 from typing import Iterable, Iterator, Optional, Union
 
 RationalLike = Union[int, Fraction]
+
+_ZERO = Fraction(0)
 
 
 class FieldMismatchError(ValueError):
@@ -27,6 +29,16 @@ class FieldMismatchError(ValueError):
 
 class ParseError(ValueError):
     """A textual exact-number or point row could not be parsed."""
+
+
+class FloatRangeError(ValueError):
+    """A point whose coordinates have no float, where one is needed."""
+
+    def __init__(self, p: "PlanarPoint"):
+        super().__init__(
+            f"point ({format_quadext(p.x)}, {format_quadext(p.y)}) lies "
+            f"beyond the float range"
+        )
 
 
 def as_fraction(x: Union[int, float, str, Fraction]) -> Fraction:
@@ -148,20 +160,25 @@ class QuadExt:
     d: int
 
     def __init__(self, a: RationalLike = 0, b: RationalLike = 0, d: int = 1):
-        a = Fraction(a)
-        b = Fraction(b)
+        # a Fraction is immutable, so one given is kept as it is
+        if type(a) is not Fraction:
+            a = Fraction(a)
+        if type(b) is not Fraction:
+            b = Fraction(b)
         if not isinstance(d, int):
             raise TypeError("radicand must be an integer")
         if d < 1:
             raise ValueError("radicand must be >= 1")
         if d > 1:
             f, m = squarefree_split(d)
-            b *= f
+            if f != 1:
+                b *= f
             d = m
         if d == 1:
-            a += b
-            b = Fraction(0)
-        elif b == 0:
+            if b:
+                a += b
+            b = _ZERO
+        elif not b:
             d = 1
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -212,6 +229,8 @@ class QuadExt:
     # -- ring operations -----------------------------------------------
 
     def __add__(self, other) -> "QuadExt":
+        if type(other) is int:  # the common integer shift, without a lift
+            return QuadExt(self.a + other, self.b, self.d)
         other = _lift(other)
         if other is NotImplemented:
             return NotImplemented
@@ -221,6 +240,8 @@ class QuadExt:
     __radd__ = __add__
 
     def __sub__(self, other) -> "QuadExt":
+        if type(other) is int:
+            return QuadExt(self.a - other, self.b, self.d)
         other = _lift(other)
         if other is NotImplemented:
             return NotImplemented
@@ -274,10 +295,29 @@ class QuadExt:
         return _quad_sign(self.a, self.b, self.d)
 
     def compare(self, other) -> int:
-        """Exact three-way value comparison; works across distinct fields."""
+        """Exact three-way value comparison; works across distinct fields.
+
+        Filtered: the :meth:`to_float` brackets u +/- eu and v +/- ev
+        decide when they are disjoint.  The sum eu + ev, its product with
+        1 + 2**-50 and the difference u - v each round by at most 2**-53
+        relative (and not at all below the normal range), which the factor
+        outweighs; so when the scaled sum is below |u - v|, the values
+        differ with the sign of u - v.  Otherwise, and for a value beyond
+        the float range, the exact sign of the difference decides; equal
+        values always take that path.
+        """
         other = _lift(other)
         if other is NotImplemented:
             raise TypeError(f"cannot compare QuadExt with {type(other)}")
+        try:
+            u, eu = self.to_float()
+            v, ev = other.to_float()
+        except OverflowError:
+            pass
+        else:
+            diff = u - v
+            if (eu + ev) * (1 + 2.0**-50) < abs(diff) < inf:
+                return 1 if diff > 0 else -1
         if self.d == other.d or self.d == 1 or other.d == 1:
             return (self - other).sign()
         return RadicalSum.of(self, -other).sign()
@@ -295,9 +335,28 @@ class QuadExt:
         return self.compare(other) >= 0
 
     def floor(self) -> int:
-        """Exact integer floor."""
+        """Exact integer floor.
+
+        Filtered: with v +/- e the :meth:`to_float` bracket and |v| < 2**52,
+        m = floor(v) is exact, f = v - m is off by at most 2**-54 and
+        1 - f by at most 2**-53 in all; t exceeds e by more than 2**-53,
+        so t < f and t < 1 - f put the bracket strictly inside (m, m + 1)
+        and m is the floor.  Otherwise, and beyond the float range, an
+        exact walk from a 64-bit midpoint finds it.
+        """
         if self.b == 0:
             return self.a.numerator // self.a.denominator
+        try:
+            v, e = self.to_float()
+        except OverflowError:
+            pass
+        else:
+            if abs(v) < 2.0**52:
+                m = _floor(v)
+                f = v - m
+                t = e * (1 + 2.0**-50) + 2.0**-52
+                if t < f and t < 1 - f:
+                    return m
         mid, err = self.approx(64)
         m = (mid.numerator // mid.denominator) if err < 1 else 0
         # mid is within err of the true value; walk to the exact floor.
@@ -323,11 +382,35 @@ class QuadExt:
         return self.a + mid, err
 
     def to_float(self, precision_bits: int = 53) -> tuple[float, float]:
-        """Floating value with a conservative absolute error bound."""
-        return _float_with_bound(*self.approx(precision_bits))
+        """Floating value with a conservative absolute error bound, so a
+        certified bracket [value - bound, value + bound] of the element.
+
+        The pair is ``_float_with_bound(*self.approx(precision_bits))``,
+        computed from integers: the midpoint a + b*(2s+1)/2**(bits+1) of
+        :meth:`approx`, with s = isqrt(d << 2*bits), as one numerator over
+        one denominator, whose int true division is correctly rounded as
+        ``float(Fraction)`` is.  ``compare`` and ``floor`` decide from this
+        bracket and fall back to exact arithmetic where it cannot.  Raises
+        OverflowError beyond the float range.
+        """
+        if precision_bits < 24:
+            raise ValueError("precision_bits must be >= 24")
+        na, da = self.a.numerator, self.a.denominator
+        if not self.b:
+            value = na / da
+            if value.as_integer_ratio() == (na, da):
+                return value, 0.0
+            return value, abs(value) * 2.0**-52 + 5e-324
+        nb, db = self.b.numerator, self.b.denominator
+        # the precision _radical_bounds takes for sqrt(d)
+        bits = precision_bits + 8 + max(0, abs(nb).bit_length() - db.bit_length() + 1)
+        s, k = _isqrt_shifted(self.d, bits), bits + 1
+        value = (((na * db) << k) + nb * (2 * s + 1) * da) / ((da * db) << k)
+        err = abs(nb) / (db << k)
+        return value, err * (1 + 2.0**-50) + (abs(value) * 2.0**-52 + 5e-324)
 
     def __float__(self) -> float:
-        if self.b == 0:  # to_float()[0] without building an error bound
+        if not self.b:  # to_float()[0] without building an error bound
             return float(self.a)
         return self.to_float()[0]
 
@@ -605,6 +688,30 @@ def cross(u, v) -> RadicalSum:
     return RadicalSum.of(u[0]) * RadicalSum.of(v[1]) - RadicalSum.of(
         u[1]
     ) * RadicalSum.of(v[0])
+
+
+def norm_sq_bracket(x: QuadExt, y: QuadExt) -> tuple[float, float]:
+    """x*x + y*y as a float n and a bound w with |x*x + y*y - n| <= w,
+    from the :meth:`QuadExt.to_float` brackets vx +/- ex and vy +/- ey;
+    (inf, inf) beyond the float range.
+
+    |x*x - vx*vx| <= (2|vx| + ex)*ex, and likewise for y.  The two
+    products and the sum round by at most 2**-53 relative each, covered by
+    n*2**-50, plus 2**-1074 per operation below the normal range, covered
+    by 2**-1000; the factor 1 + 2**-50 covers the rounding of w's own
+    evaluation.
+    """
+    try:
+        vx, ex = x.to_float()
+        vy, ey = y.to_float()
+    except OverflowError:
+        return inf, inf
+    n = vx * vx + vy * vy
+    w = (2 * abs(vx) + ex) * ex + (2 * abs(vy) + ey) * ey + n * 2.0**-50
+    w = w * (1 + 2.0**-50) + 2.0**-1000
+    if not w < inf:  # also catches nan
+        return inf, inf
+    return n, w
 
 
 def sqrt_with_error(sq: RadicalSum) -> tuple[float, float]:

@@ -400,6 +400,58 @@ def test_plot_rejects_zero_point_size(tmp_path, capsys):
         assert not svg_path.exists()
 
 
+BEYOND_FLOAT = str(10**400)
+
+
+@pytest.mark.parametrize(
+    "x", [BEYOND_FLOAT, BEYOND_FLOAT + "+1/1*sqrt(2)"], ids=["rational", "radical"]
+)
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("plot",),
+        ("diagnose", "--window=0,0,1,1", "--resolution", "1/2", "--radii", "1,2"),
+    ],
+    ids=["plot", "diagnose"],
+)
+def test_value_beyond_float_range_exits_two(tmp_path, capsys, x, command):
+    csv_path = tmp_path / "huge.csv"
+    out = tmp_path / "out"
+    csv_path.write_text(
+        f"x_exact,y_exact,x_float,y_float,tag\n{x},0,,,\n0,1,0,1,\n",
+        encoding="utf-8",
+    )
+    code = run(command[0], csv_path, *command[1:], "--out", out)
+    captured = capsys.readouterr()
+    assert code == 2
+    want = x if x == BEYOND_FLOAT else BEYOND_FLOAT + "/1+1/1*sqrt(2)"
+    assert captured.err == (
+        f"error: point ({want}, 0) lies beyond the float range\n"
+    )
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "radii, name",
+    [("1,2e400", "2" + "0" * 400), ("1e-200,1", "1/1" + "0" * 200)],
+    ids=["overflow", "underflow"],
+)
+def test_radius_beyond_float_range_exits_two(tmp_path, capsys, radii, name):
+    csv_path = tmp_path / "pts.csv"
+    out = tmp_path / "out.json"
+    assert run("coprime", "--radius", "2", "--out", csv_path) == 0
+    code = run(
+        "diagnose", csv_path, "--window=0,0,1,1", "--resolution", "1/2",
+        "--radii", radii, "--out", out,
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == (
+        f"error: radius {name}: its square lies beyond the float range\n"
+    )
+    assert captured.out == "" and not out.exists()
+
+
 # -- determinism and round trips -----------------------------------------------
 
 
@@ -443,6 +495,12 @@ def test_outputs_byte_identical(tmp_path):
          "16ada7c825d64ef86da6fb89134a09cbcde8d86ad0837c7550a93240a0d95dcd"),
         (("example", "--radius", "157/20"),
          "c2d205446ed349919a270855ef2e2bac2b48a26b71c490da14019a198504ce0a"),
+        # the oracle and the comparison sort share the float-bracket
+        # filters, so agreement between them cannot catch a filter bug
+        (("example", "--radius", "41/10", "--oracle"),
+         "01b90b6d23fc2986eebf1c89f8a05f300c5e88ee2b59ae193298b0093f9d1dba"),
+        (("example", "--radius", "157/4"),
+         "f7f20b6728a5a80aa9b7e894cc05477a0560fcc055a0f0589d2dfb8168c1b64b"),
     ]
     for args, digest in invocations:
         first, second = rerun_bytes(tmp_path, *args)
