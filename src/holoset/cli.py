@@ -243,7 +243,15 @@ def render_svg(ps: PointSet, point_size: float = 2.0, axis_range=None) -> str:
         except OverflowError:
             raise FloatRangeError(p) from None
     if axis_range is not None:
-        x0, y0, x1, y1 = (float(v) for v in axis_range)
+        bounds = []
+        for v in axis_range:
+            try:
+                bounds.append(float(v))
+            except OverflowError:
+                raise ValueError(
+                    f"axis range bound {v} lies beyond the float range"
+                ) from None
+        x0, y0, x1, y1 = bounds
         if x1 <= x0 or y1 <= y0:
             raise ValueError("axis range is empty")
         min_x, max_x, min_y, max_y = x0, x1, -y1, -y0

@@ -48,12 +48,12 @@ def gcd_filtered_points(max_gcd: int, radius) -> PointSet:
     lift = _integer_lift(ks)
     pts = []
     for p in ks:
-        pp = p * p
         x = lift[p]
-        for q in ks:
-            if p == 0 and q == 0:
-                continue
-            if pp + q * q <= R2 and gcd(abs(p), abs(q)) <= max_gcd:
+        # |p| <= r and r*r <= R2, so the ball's column at p is
+        # |q| <= isqrt(R2 - p*p): the same points, in the same order
+        m = isqrt(R2 - p * p)
+        for q in range(-m, m + 1):
+            if (p or q) and gcd(p, q) <= max_gcd:
                 pts.append(PlanarPoint(x, lift[q]))
     return PointSet(pts)
 

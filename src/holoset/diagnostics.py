@@ -250,7 +250,8 @@ def growth_counts(ps: PointSet, radii: Sequence) -> GrowthCounts:
     quadratic-density coefficients N(R)/R^2.
 
     Flags non-quadratic growth when the coefficients over the top half
-    of the radii spread by more than a factor of 4.
+    of the radii spread by more than a factor of 4.  A coefficient is
+    inf when R^2 is a subnormal float and the ball holds a point.
     """
     rs = [as_fraction(r) for r in radii]
     if not rs:
@@ -302,6 +303,14 @@ def _point_json(p: PlanarPoint) -> list:
 
 
 def report_to_json_dict(report: DeloneReport) -> dict:
+    """The report as JSON values; ValueError naming the radius of a growth
+    coefficient that is inf, which JSON cannot hold."""
+    for (r, _), c in zip(report.growth.counts, report.growth.coefficients):
+        if c == float("inf"):
+            raise ValueError(
+                f"radius {r}: its growth coefficient N(R)/R^2 lies beyond "
+                f"the float range"
+            )
     return {
         "label": report.label,
         "min_gap": {

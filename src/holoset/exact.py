@@ -14,7 +14,7 @@ import csv
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache
 from math import floor as _floor, inf, isqrt, ulp
 from typing import Iterable, Iterator, Optional, Union
 
@@ -297,30 +297,13 @@ class QuadExt:
     def compare(self, other) -> int:
         """Exact three-way value comparison; works across distinct fields.
 
-        Filtered: the :meth:`to_float` brackets u +/- eu and v +/- ev
-        decide when they are disjoint.  The sum eu + ev, its product with
-        1 + 2**-50 and the difference u - v each round by at most 2**-53
-        relative (and not at all below the normal range), which the factor
-        outweighs; so when the scaled sum is below |u - v|, the values
-        differ with the sign of u - v.  Otherwise, and for a value beyond
-        the float range, the exact sign of the difference decides; equal
-        values always take that path.
+        Decided from the two :meth:`to_float` brackets where they are
+        disjoint, exactly otherwise (see :func:`_bracket_compare`).
         """
-        other = _lift(other)
-        if other is NotImplemented:
+        lifted = _lift(other)
+        if lifted is NotImplemented:
             raise TypeError(f"cannot compare QuadExt with {type(other)}")
-        try:
-            u, eu = self.to_float()
-            v, ev = other.to_float()
-        except OverflowError:
-            pass
-        else:
-            diff = u - v
-            if (eu + ev) * (1 + 2.0**-50) < abs(diff) < inf:
-                return 1 if diff > 0 else -1
-        if self.d == other.d or self.d == 1 or other.d == 1:
-            return (self - other).sign()
-        return RadicalSum.of(self, -other).sign()
+        return _bracket_compare(self, _bracket(self), lifted, _bracket(lifted))
 
     def __lt__(self, other) -> bool:
         return self.compare(other) < 0
@@ -427,6 +410,37 @@ def _lift(x) -> Union[QuadExt, type(NotImplemented)]:
     if isinstance(x, (int, Fraction)):
         return QuadExt(x)
     return NotImplemented
+
+
+def _bracket(u: QuadExt) -> Optional[tuple[float, float]]:
+    """``u.to_float()``, or None beyond the float range."""
+    try:
+        return u.to_float()
+    except OverflowError:
+        return None
+
+
+def _bracket_compare(u: QuadExt, bu, v: QuadExt, bv) -> int:
+    """Exact three-way comparison of u and v, given their :func:`_bracket`s.
+
+    Filtered: the brackets u +/- eu and v +/- ev decide when they are
+    disjoint.  The sum eu + ev, its product with 1 + 2**-50 and the
+    difference u - v each round by at most 2**-53 relative (and not at
+    all below the normal range), which the factor outweighs; so when the
+    scaled sum is below |u - v|, the values differ with the sign of
+    u - v.  Otherwise, and for a value beyond the float range, equal
+    components give 0 (QuadExt is canonical) and the exact sign of the
+    difference decides the rest.
+    """
+    if bu is not None and bv is not None:
+        diff = bu[0] - bv[0]
+        if (bu[1] + bv[1]) * (1 + 2.0**-50) < abs(diff) < inf:
+            return 1 if diff > 0 else -1
+    if u is v or (u.a == v.a and u.b == v.b and u.d == v.d):
+        return 0
+    if u.d == v.d or u.d == 1 or v.d == 1:
+        return (u - v).sign()
+    return RadicalSum.of(u, -v).sign()
 
 
 # -- serialization -----------------------------------------------------------
@@ -763,19 +777,6 @@ def point(x, y, tag: Optional[str] = None) -> PlanarPoint:
     return PlanarPoint(xq, yq, tag)
 
 
-def _coord_cmp(u: QuadExt, v: QuadExt) -> int:
-    if u.a == v.a and u.b == v.b and u.d == v.d:
-        return 0
-    return u.compare(v)
-
-
-def _point_cmp(p: PlanarPoint, q: PlanarPoint) -> int:
-    c = _coord_cmp(p.x, q.x)
-    if c:
-        return c
-    return _coord_cmp(p.y, q.y)
-
-
 class PointSet:
     """Finite planar point set in canonical (lexicographic) order.
 
@@ -790,19 +791,17 @@ class PointSet:
 
     def __init__(self, points: Iterable[PlanarPoint]):
         pts = list(points)
-        d_x = _ambient_d((p.x for p in pts), "x")
-        d_y = _ambient_d((p.y for p in pts), "y")
-        pts = _canonical_sort(pts)
+        d_x, d_y, keys, order = _canonical_order(pts)
         deduped: list[PlanarPoint] = []
-        for p in pts:
-            # QuadExt is canonical, so componentwise equality is value
-            # equality: no sign is needed to tell neighbours apart.
-            if deduped and deduped[-1] == p:
-                prev = deduped[-1]
-                if _tag_key(p.tag) < _tag_key(prev.tag):
+        last = None  # the key of deduped[-1]; no key is None
+        for i in order:
+            p = pts[i]
+            if keys[i] == last:
+                if _tag_key(p.tag) < _tag_key(deduped[-1].tag):
                     deduped[-1] = p
                 continue
             deduped.append(p)
+            last = keys[i]
         object.__setattr__(self, "points", tuple(deduped))
         object.__setattr__(self, "d_x", d_x)
         object.__setattr__(self, "d_y", d_y)
@@ -835,7 +834,8 @@ class PointSet:
         lo, hi = 0, len(self.points)
         while lo < hi:
             mid = (lo + hi) // 2
-            c = _point_cmp(self.points[mid], pt)
+            q = self.points[mid]
+            c = q.x.compare(pt.x) or q.y.compare(pt.y)
             if c == 0:
                 return True
             if c < 0:
@@ -852,8 +852,8 @@ def _tag_key(tag: Optional[str]) -> tuple[int, str]:
     return (1, "") if tag is None else (0, tag)
 
 
-def _ambient_d(coords: Iterable[QuadExt], axis: str) -> int:
-    ds = {c.d for c in coords if c.d != 1}
+def _ambient_d(ds: set[int], axis: str) -> int:
+    ds.discard(1)
     if len(ds) > 1:
         raise FieldMismatchError(
             f"{axis}-coordinates mix radicals {sorted(ds)}"
@@ -861,18 +861,49 @@ def _ambient_d(coords: Iterable[QuadExt], axis: str) -> int:
     return ds.pop() if ds else 1
 
 
-def _canonical_sort(pts: list[PlanarPoint]) -> list[PlanarPoint]:
-    if all(p.x.b == 0 and p.y.b == 0 for p in pts):
-        if all(
-            p.x.a.denominator == 1 and p.y.a.denominator == 1 for p in pts
-        ):
-            return sorted(
-                pts, key=lambda p: (p.x.a.numerator, p.y.a.numerator)
-            )
-        return sorted(pts, key=lambda p: (p.x.a, p.y.a))
-    import functools
+def _canonical_order(
+    pts: list[PlanarPoint],
+) -> tuple[int, int, list[tuple], list[int]]:
+    """The ambient radicals d_x and d_y, one equality key per point, and
+    the indices of pts in canonical order, from one pass over pts.
 
-    return sorted(pts, key=functools.cmp_to_key(_point_cmp))
+    A rational point's key is its pair of coordinates, each an int when it
+    is an integer: ints and Fractions compare and test equal by value, so
+    the keys sort lexicographically, and integer points sort as int pairs.
+    The first point with a radical ends that pass.  Then a key is the
+    componentwise (a, b, d) of both coordinates, which is value equality
+    since QuadExt is canonical, and a comparison sort orders the points
+    from each coordinate's :func:`_bracket`, taken once here, with exact
+    arithmetic only where two brackets overlap or overflow.
+    """
+    keys: list[tuple] = []
+    for p in pts:
+        x, y = p.x, p.y
+        if x.d != 1 or y.d != 1:
+            break
+        a, b = x.a, y.a
+        keys.append(
+            (
+                a.numerator if a.denominator == 1 else a,
+                b.numerator if b.denominator == 1 else b,
+            )
+        )
+    else:
+        return 1, 1, keys, sorted(range(len(pts)), key=keys.__getitem__)
+    xs = [p.x for p in pts]
+    ys = [p.y for p in pts]
+    d_x = _ambient_d({u.d for u in xs}, "x")
+    d_y = _ambient_d({u.d for u in ys}, "y")
+    bx = [_bracket(u) for u in xs]
+    by = [_bracket(u) for u in ys]
+    keys = [(u.a, u.b, u.d, v.a, v.b, v.d) for u, v in zip(xs, ys)]
+
+    def cmp(i: int, j: int) -> int:
+        return _bracket_compare(xs[i], bx[i], xs[j], bx[j]) or _bracket_compare(
+            ys[i], by[i], ys[j], by[j]
+        )
+
+    return d_x, d_y, keys, sorted(range(len(pts)), key=cmp_to_key(cmp))
 
 
 # -- CSV round trip ------------------------------------------------------------
@@ -885,19 +916,30 @@ def _float_repr(v: float) -> str:
 
 
 def write_pointset_csv(ps: PointSet, fileobj) -> None:
-    """Emit the canonical CSV form (header plus one row per point)."""
+    """Emit the canonical CSV form (header plus one row per point).
+
+    The points of a set share coordinate objects, so each object's exact
+    and float text is built once, in a dict local to the call: the set
+    keeps every coordinate alive, so no id is reused while it runs, and
+    coordinates can have thousands of digits, so nothing outlives it.
+    """
+    cells: dict[int, tuple[str, str]] = {}
+
+    def cell(u: QuadExt) -> tuple[str, str]:
+        c = cells.get(id(u))
+        if c is None:
+            c = cells[id(u)] = (format_quadext(u), _float_repr(float(u)))
+        return c
+
+    def rows() -> Iterator[tuple[str, ...]]:
+        for p in ps:
+            ex, fx = cell(p.x)
+            ey, fy = cell(p.y)
+            yield ex, ey, fx, fy, p.tag or ""
+
     w = csv.writer(fileobj, lineterminator="\n")
     w.writerow(CSV_HEADER)
-    for p in ps:
-        w.writerow(
-            (
-                format_quadext(p.x),
-                format_quadext(p.y),
-                _float_repr(float(p.x)),
-                _float_repr(float(p.y)),
-                p.tag or "",
-            )
-        )
+    w.writerows(rows())
 
 
 class CsvRowError(ParseError):

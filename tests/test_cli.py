@@ -452,6 +452,41 @@ def test_radius_beyond_float_range_exits_two(tmp_path, capsys, radii, name):
     assert captured.out == "" and not out.exists()
 
 
+def test_infinite_growth_coefficient_exits_two(tmp_path, capsys):
+    # 1e-160 squared is a subnormal float, and (1e-170, 0) lies in its ball
+    csv_path = tmp_path / "tiny.csv"
+    out = tmp_path / "out.json"
+    tiny = "1/1" + "0" * 170
+    csv_path.write_text(
+        f"x_exact,y_exact,x_float,y_float,tag\n{tiny},0,,,\n1,0,1,0,\n",
+        encoding="utf-8",
+    )
+    code = run(
+        "diagnose", csv_path, "--window=0,0,1,1", "--resolution", "1/2",
+        "--radii", "1e-160,1", "--out", out,
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == (
+        f"error: radius 1/1{'0' * 160}: its growth coefficient N(R)/R^2 "
+        f"lies beyond the float range\n"
+    )
+    assert captured.out == "" and not out.exists()
+
+
+def test_axis_range_beyond_float_range_exits_two(tmp_path, capsys):
+    csv_path = tmp_path / "pts.csv"
+    svg_path = tmp_path / "pts.svg"
+    assert run("coprime", "--radius", "2", "--out", csv_path) == 0
+    code = run("plot", csv_path, "--axis-range=0,0,1e400,1", "--out", svg_path)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == (
+        f"error: axis range bound 1{'0' * 400} lies beyond the float range\n"
+    )
+    assert captured.out == "" and not svg_path.exists()
+
+
 # -- determinism and round trips -----------------------------------------------
 
 
@@ -476,6 +511,11 @@ def test_outputs_byte_identical(tmp_path):
     invocations = [
         (("coprime", "--radius", "10"),
          "4f04420c2130a8dfb858dc700b9327928482fa2e5173b85724c76dd0248a00d6"),
+        # lattice sizes, where the integer keys and the cell memo run
+        (("coprime", "--radius", "199"),
+         "ec70b60afc6b4171138a91d11a859e6ce511368ba62b39b83a0a835db9fc02a6"),
+        (("coprime", "--radius", "303/5", "--max-gcd", "2"),
+         "88e124c6731f4f4f47f61df0a45d945b16173a8bbf2bdbf806f57737b0c9bb17"),
         (("enumerate", origami, "--radius", "3", "--marked"),
          "7fd4295671bd060c2cd6ed159087dd496fd2643ed82d51272d06fd8b9d4557fa"),
         (("hole", "--radius", "1"),

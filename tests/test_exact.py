@@ -246,6 +246,11 @@ def test_comparisons_are_exact():
     assert QuadExt(0, 1, 2) < QuadExt(0, 1, 3)
 
 
+def test_compare_error_names_the_operand_type():
+    with pytest.raises(TypeError, match="<class 'float'>"):
+        QuadExt(1).compare(1.5)
+
+
 def test_floor():
     assert QuadExt(0, 1, 2).floor() == 1
     assert QuadExt(0, -1, 2).floor() == -2
@@ -379,6 +384,142 @@ def test_pointset_rejects_mixed_radicals_on_one_axis():
                 PlanarPoint(QuadExt(0, 1, 3), QuadExt(0)),
             ]
         )
+
+
+def _reference_coord_cmp(u: QuadExt, v: QuadExt) -> int:
+    if u.a == v.a and u.b == v.b and u.d == v.d:
+        return 0
+    return RadicalSum.of(u, -v).sign()  # exact, with no float bracket
+
+
+def _reference_points(pts) -> list[PlanarPoint]:
+    """PointSet's canonical order and de-duplication, the plain way: a
+    key sort of (numerator, numerator) or (Fraction, Fraction) pairs for
+    integer or rational sets, an exact comparison sort otherwise, then
+    componentwise equality of neighbours, keeping the smallest tag."""
+    import functools
+
+    def point_cmp(p, q):
+        return _reference_coord_cmp(p.x, q.x) or _reference_coord_cmp(p.y, q.y)
+
+    def tag_key(tag):
+        return (1, "") if tag is None else (0, tag)
+
+    def components(p):
+        return (p.x.a, p.x.b, p.x.d, p.y.a, p.y.b, p.y.d)
+
+    pts = list(pts)
+    if all(p.x.b == 0 and p.y.b == 0 for p in pts):
+        if all(p.x.a.denominator == 1 and p.y.a.denominator == 1 for p in pts):
+            pts = sorted(pts, key=lambda p: (p.x.a.numerator, p.y.a.numerator))
+        else:
+            pts = sorted(pts, key=lambda p: (p.x.a, p.y.a))
+    else:
+        pts = sorted(pts, key=functools.cmp_to_key(point_cmp))
+    out: list[PlanarPoint] = []
+    for p in pts:
+        if out and components(out[-1]) == components(p):
+            if tag_key(p.tag) < tag_key(out[-1].tag):
+                out[-1] = p
+            continue
+        out.append(p)
+    return out
+
+
+TINY = Fraction(1, 10**30)
+HUGE = 10**400  # beyond the float range
+
+
+def _fresh(u: QuadExt) -> QuadExt:
+    """An equal value as a distinct object, with distinct components."""
+    return QuadExt(Fraction(2 * u.a.numerator, 2 * u.a.denominator),
+                   Fraction(2 * u.b.numerator, 2 * u.b.denominator), u.d)
+
+
+def _integer_values(rng):
+    return [QuadExt(rng.randint(-6, 6)) for _ in range(6)] + [QuadExt(HUGE)]
+
+
+def _rational_values(rng):
+    third = Fraction(1, 3)
+    return [
+        QuadExt(Fraction(rng.randint(-9, 9), rng.randint(1, 4))) for _ in range(6)
+    ] + [QuadExt(third), QuadExt(third + TINY), QuadExt(2), QuadExt(HUGE + third)]
+
+
+def _radical_values(d):
+    def values(rng):
+        r = QuadExt(1, 1, d)
+        return [
+            QuadExt(Fraction(rng.randint(-9, 9), rng.randint(1, 3)),
+                    Fraction(rng.randint(-3, 3), rng.randint(1, 3)), d)
+            for _ in range(5)
+        ] + [r, r + TINY, r - TINY, QuadExt(1), QuadExt(HUGE, 1, d),
+             QuadExt(HUGE + TINY, 1, d), QuadExt(-HUGE)]
+    return values
+
+
+@pytest.mark.parametrize(
+    "xs, ys",
+    [
+        (_integer_values, _integer_values),
+        (_rational_values, _rational_values),
+        (_radical_values(2), _radical_values(3)),
+        (_radical_values(2), _rational_values),
+    ],
+    ids=["integer", "rational", "sqrt2-by-sqrt3", "sqrt2-by-rational"],
+)
+def test_pointset_matches_reference_on_shuffled_input(xs, ys):
+    rng = random.Random(20141)
+    for _ in range(20):
+        xv, yv = xs(rng), ys(rng)
+        pts = []
+        for _ in range(60):
+            x, y = rng.choice(xv), rng.choice(yv)
+            if rng.random() < 0.3:  # an equal value as a distinct object
+                x, y = _fresh(x), _fresh(y)
+            pts.append(PlanarPoint(x, y, rng.choice([None, "a", "b", "c"])))
+        rng.shuffle(pts)
+        got = PointSet(pts).points
+        want = _reference_points(pts)
+        assert len(got) == len(want)
+        # the very objects, so the kept duplicate and its tag agree too
+        assert all(g is w for g, w in zip(got, want))
+
+
+def _reference_csv(ps: PointSet) -> str:
+    """One row per point, each cell formatted from scratch."""
+    lines = ["x_exact,y_exact,x_float,y_float,tag"]
+    for p in ps:
+        lines.append(",".join((
+            format_quadext(p.x), format_quadext(p.y),
+            format(float(p.x), ".12g"), format(float(p.y), ".12g"),
+            p.tag or "",
+        )))
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_writer_matches_per_row_reference():
+    # the same (a, b) over sqrt(2) on one axis and sqrt(3) on the other,
+    # equal values as distinct objects, values 1e-30 apart, shared objects
+    rng = random.Random(7)
+    third = Fraction(1, 3)
+    common = [QuadExt(2), QuadExt(third), QuadExt(third + TINY), QuadExt(1)]
+    xs = common + [QuadExt(1, 1, 2), QuadExt(1, 1, 2) + TINY]
+    ys = common + [QuadExt(1, 1, 3), QuadExt(third, 1, 3)]
+    pts = []
+    for _ in range(200):
+        x, y = rng.choice(xs), rng.choice(ys)
+        if rng.random() < 0.5:
+            x, y = _fresh(x), _fresh(y)
+        pts.append(PlanarPoint(x, y, rng.choice([None, "UV"])))
+    for ps in (
+        PointSet(pts),
+        PointSet(PlanarPoint(p.y, p.x, p.tag) for p in pts),
+    ):
+        buf = io.StringIO()
+        write_pointset_csv(ps, buf)
+        assert buf.getvalue() == _reference_csv(ps)
 
 
 def test_pointset_membership_and_negation():
