@@ -268,6 +268,11 @@ def render_svg(ps: PointSet, point_size: float = 2.0, axis_range=None) -> str:
     vx, vy = min_x - pad, min_y - pad
     vw, vh = max_x - min_x + 2 * pad, max_y - min_y + 2 * pad
     scale = max(vw, vh) / SVG_CANVAS
+    if not all(map(math.isfinite, (vx, vy, vw, vh, scale))):
+        raise ValueError(
+            f"plot extent x {min_x!r}..{max_x!r}, y {-max_y!r}..{-min_y!r}: "
+            f"its padded span lies beyond the float range"
+        )
 
     tags = sorted({c[2] for c in coords if c[2] is not None})
     styles = [f".axis {{ stroke: #999999; stroke-width: {scale:.6f}; }}"]

@@ -9,6 +9,7 @@ infinite set is implied.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,20 +60,20 @@ class DeloneReport:
     label: str = ESTIMATE_LABEL
 
 
-def _local_floats(points: Sequence[PlanarPoint]) -> tuple[list, list, float]:
-    """Coordinates relative to the first point, as floats.
+def _local_floats(points: Sequence[PlanarPoint], ox, oy) -> tuple[list, list, float]:
+    """Coordinates relative to (ox, oy), as floats, and the largest error
+    bound among them.
 
     Translating exactly first keeps the floats accurate even when the
     set sits at a huge offset from the origin.
     """
-    ref = points[0]
     xs: list[float] = []
     ys: list[float] = []
     worst = 0.0
     for p in points:
         try:
-            fx, ex = (p.x - ref.x).to_float()
-            fy, ey = (p.y - ref.y).to_float()
+            fx, ex = (p.x - ox).to_float()
+            fy, ey = (p.y - oy).to_float()
         except OverflowError:
             raise FloatRangeError(p) from None
         xs.append(fx)
@@ -81,33 +82,136 @@ def _local_floats(points: Sequence[PlanarPoint]) -> tuple[list, list, float]:
     return xs, ys, worst
 
 
+def _float_dist(ax, ay, bx, by):
+    """sqrt(dx*dx + dy*dy) for dx = ax - bx and dy = ay - by, x first and
+    without hypot, the distance a KD-tree query computes; inf where a
+    difference or a square overflows."""
+    import numpy as np
+    with np.errstate(over="ignore"):
+        dx, dy = ax - bx, ay - by
+        return np.sqrt(dx * dx + dy * dy)
+
+
+class _BucketGrid:
+    """Float points in square cells of side 2h, sorted x-major by cell,
+    with a start and a count per cell: about 3n cells at most for n points.
+
+    A float t lies in cell floor((t/2 - o)/h), halved so that no span of
+    finite floats overflows.  With m cells on the longer axis, rounding
+    moves t/2h by under 2.0001u(m + 2), u = 2^-53: floats two cells apart
+    lie over 2h(1 - 4.0002u(m + 2)) apart, and their _float_dist (error
+    under 3u) exceeds `reach` = 2h(1 - 2^-50(m + 4)) once h >= 2^-400 (no
+    square underflows).  So every point whose _float_dist from a point or
+    query is at most `reach` lies in the 3x3 cells around it.
+    """
+
+    def __init__(self, xs, ys, r: float = 0.0):
+        import numpy as np
+        n = len(xs)
+        self.xs, self.ys = xs, ys = np.array(xs), np.array(ys)
+        self.ox, self.oy = xs.min() * 0.5, ys.min() * 0.5
+        wx, wy = xs.max() * 0.5 - self.ox, ys.max() * 0.5 - self.oy
+        # about one point per cell, at most n + 1 cells on an axis, and r
+        # within reach
+        dense = math.sqrt(wx) * math.sqrt(wy / n)
+        self.h = float(max(dense, max(wx, wy) / n, 2.0**-400, r * (0.5 + 2.0**-21)))
+        self.nx, self.ny = int(wx / self.h) + 1, int(wy / self.h) + 1
+        self.reach = 2 * self.h * (1 - 2.0**-50 * (max(self.nx, self.ny) + 4))
+        cx, cy = self._cells(xs, ys)
+        cell = cx * self.ny + cy
+        self.order = np.argsort(cell, kind="stable")
+        self.count = np.bincount(cell, minlength=self.nx * self.ny)
+        self.start = np.cumsum(self.count) - self.count
+
+    def _cells(self, xs, ys):
+        """Cell coordinates, clamped to [-2, cells + 1]: beyond that, the
+        3x3 cells around one hold no point either way."""
+        import numpy as np
+        with np.errstate(over="ignore"):
+            return [
+                np.clip(np.floor((t * 0.5 - o) / self.h), -2, m + 1).astype(np.int64)
+                for t, o, m in ((xs, self.ox, self.nx), (ys, self.oy, self.ny))
+            ]
+
+    def _slots(self, qx, qy):
+        """Pairs (q, k) of query and point indices covering every point in
+        the 3x3 cells around each query, one vectorised pass per slot."""
+        import numpy as np
+        a, b = self._cells(qx, qy)
+        # the three cells of one column are consecutive in the order
+        lo, hi = np.maximum(b - 1, 0), np.minimum(b + 1, self.ny - 1)
+        for col in (a - 1, a, a + 1):
+            q = np.flatnonzero((col >= 0) & (col < self.nx) & (lo <= hi))
+            pos = self.start[col[q] * self.ny + lo[q]]
+            last = col[q] * self.ny + hi[q]
+            end = self.start[last] + self.count[last]
+            while (more := pos < end).any():
+                q, pos, end = q[more], pos[more], end[more]
+                yield q, self.order[pos]
+                pos += 1
+
+    def nearest(self, qx, qy):
+        """_float_dist from each query to the nearest point."""
+        import numpy as np
+        xs, ys = self.xs, self.ys
+        dist = np.full(len(qx), np.inf)
+        for q, k in self._slots(qx, qy):
+            dist[q] = np.minimum(dist[q], _float_dist(xs[k], ys[k], qx[q], qy[q]))
+        # a query whose nearest point in its 3x3 cells is not within reach
+        # scans every point
+        far = np.flatnonzero(~(dist < self.reach))
+        step = max(1, _QUERY_CHUNK // len(xs))
+        for f in (far[c : c + step] for c in range(0, len(far), step)):
+            dist[f] = _float_dist(xs, ys, qx[f, None], qy[f, None]).min(axis=1)
+        return dist
+
+    def pairs(self, r: float):
+        """Index pairs i < j, in order, of points whose _float_dist is at
+        most r, with those distances."""
+        if r > self.reach:
+            return _BucketGrid(self.xs, self.ys, r).pairs(r)
+        import numpy as np
+        xs, ys = self.xs, self.ys
+        i, j = (np.concatenate(c) for c in zip(*self._slots(xs, ys)))
+        dist = _float_dist(xs[i], ys[i], xs[j], ys[j])
+        keep = np.flatnonzero((i < j) & (dist <= r))
+        keep = keep[np.lexsort((j[keep], i[keep]))]
+        return i[keep], j[keep], dist[keep]
+
+
 def min_gap(ps: PointSet) -> MinGapResult:
     """Smallest pairwise distance and a witnessing pair.
 
-    A KD-tree over the float coordinates gives the nearest-neighbour
-    distance; every pair within a rounding margin of it is then re-ranked
-    exactly, so the witness is the true minimum with ties broken by
-    canonical point order.
+    A bucket grid over the float coordinates finds the smallest float
+    distance, the radius doubling until some pair lies within it; every
+    pair within a rounding margin of it is then re-ranked exactly, one
+    exact distance per difference vector, so the witness is the true
+    minimum with ties broken by canonical point order.
     """
-    # scipy loads here, not at module level, so subcommands that never
-    # search a gap start without it
-    from scipy.spatial import cKDTree
-
     points = ps.points
     if len(points) < 2:
         raise ValueError("need at least 2 points")
-    xs, ys, coord_err = _local_floats(points)
-    coords = list(zip(xs, ys))
-    tree = cKDTree(coords)
-    best = float(tree.query(coords, k=2)[0][:, 1].min())
+    xs, ys, coord_err = _local_floats(points, points[0].x, points[0].y)
+    grid = _BucketGrid(xs, ys)
+    r = grid.reach
+    while not (found := grid.pairs(r)[2]).size:
+        r *= 2
+    best = float(found.min())
 
     # collect every pair whose float distance could tie the best, then
     # settle the order exactly
     span = max(max(map(abs, xs)), max(map(abs, ys)), 1.0)
     margin = 4.0 * coord_err + 1e-12 * span + 1e-6 * best
+    # the first pair of each exact difference; a PointSet has one radical
+    # per axis, so the componentwise differences are the difference vector
+    first: dict[tuple, tuple[int, int]] = {}
+    for i, j in zip(*(a.tolist() for a in grid.pairs(best + margin)[:2])):
+        p, q = points[i], points[j]
+        key = (p.x.a - q.x.a, p.x.b - q.x.b, p.y.a - q.y.a, p.y.b - q.y.b)
+        first.setdefault(key, (i, j))
     best_exact: Optional[RadicalSum] = None
     witness: Optional[tuple[int, int]] = None
-    for i, j in sorted(tree.query_pairs(best + margin)):
+    for i, j in first.values():
         sq = points[i].dist_sq(points[j])
         # RadicalSum is canonical, so termwise equality is value equality
         # and an exact tie needs no sign
@@ -135,8 +239,8 @@ _COVER_BLOCK = 8
 # allocated, instead of exhausting memory (25x the 2001 x 2001 grid of a
 # 20 x 20 window at resolution 1/100).
 COVER_GRID_CAP = 10**8
-# centers per KD-tree query: the arrays of one query set the search's
-# peak memory
+# centers per nearest-point query, and distances per chunk of its
+# all-points scan: the arrays of one query set the search's peak memory
 _QUERY_CHUNK = 50_000
 
 
@@ -171,26 +275,12 @@ def covering_radius(
             f"covering grid would have {nx * ny} centers (cap is "
             f"{COVER_GRID_CAP}); use a coarser resolution or a smaller window"
         )
-    # numpy and scipy load here, not at module level, so subcommands
-    # that never search a covering radius start without them
+    # numpy loads here, not at module level, so subcommands that never
+    # search a covering radius start without it
     import numpy as np
-    from scipy.spatial import cKDTree
 
-    # exact translation to the window origin keeps floats accurate for
-    # far-from-origin windows
-    coords = np.empty((len(points), 2), dtype=float)
-    for k, p in enumerate(points):
-        try:
-            coords[k, 0] = float(p.x - x0)
-            coords[k, 1] = float(p.y - y0)
-        except OverflowError:
-            raise FloatRangeError(p) from None
-    tree = cKDTree(coords)
+    grid = _BucketGrid(*_local_floats(points, x0, y0)[:2])
     resf = float(res)
-
-    def nearest(ix, iy):
-        centers = np.column_stack((ix * resf, iy * resf))
-        return tree.query(centers, k=1, workers=1)[0]
 
     block = _COVER_BLOCK
     nby = -(-ny // block)
@@ -205,8 +295,9 @@ def covering_radius(
     for k0 in range(0, n_blocks, _QUERY_CHUNK):
         k = np.arange(k0, min(k0 + _QUERY_CHUNK, n_blocks))
         ox, oy = (k // nby) * block, (k % nby) * block
-        rep_d = nearest(
-            np.minimum(ox + block // 2, nx - 1), np.minimum(oy + block // 2, ny - 1)
+        rep_d = grid.nearest(
+            np.minimum(ox + block // 2, nx - 1) * resf,
+            np.minimum(oy + block // 2, ny - 1) * resf,
         )
         rep_best = max(rep_best, float(rep_d.max()))
         # a block can hold the maximum only if its bound reaches every
@@ -221,7 +312,7 @@ def covering_radius(
             ix, iy = np.broadcast_arrays(ix, iy)
             inside = (ix < nx) & (iy < ny)
             ix, iy = ix[inside], iy[inside]
-            dists = nearest(ix, iy)
+            dists = grid.nearest(ix * resf, iy * resf)
             top = float(dists.max())
             if top >= best:
                 # ties go to the first center in x-major order

@@ -474,6 +474,32 @@ def test_infinite_growth_coefficient_exits_two(tmp_path, capsys):
     assert captured.out == "" and not out.exists()
 
 
+@pytest.mark.parametrize(
+    "rows, axis_range",
+    [
+        ([("1", "0")], "--axis-range=-1e308,0,1e308,1"),
+        ([("1" + "0" * 308, "0"), ("-1" + "0" * 308, "0")], None),
+    ],
+    ids=["axis-range", "data-bounds"],
+)
+def test_plot_extent_beyond_float_range_exits_two(tmp_path, capsys, rows, axis_range):
+    # each bound is a finite float, but the padded span overflows
+    csv_path = tmp_path / "pts.csv"
+    svg_path = tmp_path / "pts.svg"
+    csv_path.write_text(
+        "x_exact,y_exact,x_float,y_float,tag\n"
+        + "".join(f"{x},{y},0,0,\n" for x, y in rows),
+        encoding="utf-8",
+    )
+    argv = ["plot", csv_path, "--out", svg_path] + ([axis_range] if axis_range else [])
+    code = run(*argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: plot extent x -1e+308..1e+308, y ")
+    assert captured.err.endswith("lies beyond the float range\n")
+    assert captured.out == "" and not svg_path.exists()
+
+
 def test_axis_range_beyond_float_range_exits_two(tmp_path, capsys):
     csv_path = tmp_path / "pts.csv"
     svg_path = tmp_path / "pts.svg"
@@ -595,3 +621,26 @@ def test_subcommands_without_diagnose_do_not_import_numpy_or_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert len(data_rows(proc.stdout)) > 0
     assert (tmp_path / "ex.svg").read_text().count("<circle ") > 0
+
+
+def test_diagnose_does_not_import_scipy(tmp_path):
+    csv_path, json_path = str(tmp_path / "ex.csv"), str(tmp_path / "ex.json")
+    script = textwrap.dedent(
+        f"""
+        import sys
+        from holoset.cli import main
+        assert main(["example", "--radius", "3", "--out", {csv_path!r}]) == 0
+        argv = ["diagnose", {csv_path!r}, "--window=-1,-1,1,1",
+                "--resolution", "1/10", "--radii", "1,2", "--out", {json_path!r}]
+        assert main(argv) == 0
+        sys.exit("scipy" in sys.modules)
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "covering_radius" in json.loads((tmp_path / "ex.json").read_text())

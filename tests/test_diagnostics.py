@@ -244,6 +244,129 @@ def test_covering_matches_brute_force_on_crt_hole(monkeypatch, chunk):
     )
 
 
+def brute_force_gap_pair(ps):
+    """The first exactly minimal pair in canonical (i, j) order, from a
+    scan of every pair; a rational set is scanned as integers over a
+    common denominator."""
+    pts = ps.points
+    pairs = [
+        (i, j) for i in range(len(pts)) for j in range(i + 1, len(pts))
+    ]
+    if all(p.x.is_rational and p.y.is_rational for p in pts):
+        den = math.lcm(*(c.a.denominator for p in pts for c in p))
+        xy = [(int(p.x.a * den), int(p.y.a * den)) for p in pts]
+        _, i, j = min(
+            ((xy[i][0] - xy[j][0]) ** 2 + (xy[i][1] - xy[j][1]) ** 2, i, j)
+            for i, j in pairs
+        )
+        return pts[i], pts[j]
+    best = witness = None
+    for i, j in pairs:
+        sq = pts[i].dist_sq(pts[j])
+        if best is None or (sq - best).sign() < 0:
+            best, witness = sq, (pts[i], pts[j])
+    return witness
+
+
+def _ragged_lattice():
+    # integer points of a jagged region with holes
+    rng = random.Random(3)
+    return PointSet(
+        point(i, j)
+        for i in range(-12, 13)
+        for j in range(-rng.randint(0, 9), rng.randint(1, 9))
+        if rng.random() < 0.7
+    )
+
+
+OFF = 10**30
+# point sets the bucket grid must answer exactly as the KD-tree and the
+# pair scan do, with windows over, beside and far outside each set, each
+# searched at resolutions 1/4 and 1/10 unless it gives its own
+GRID_CASES = {
+    "single point": (PointSet([point(3, -2)]), [(0, -4, 4, 4)]),
+    "two points 1e9 apart": (
+        PointSet([point(0, 0), point(10**9, 0)]),
+        [(-2, -2, 2, 2), (5 * 10**8 - 2, -2, 5 * 10**8 + 2, 2),
+         (0, 0, 10**9, 10**9, 10**7)],
+    ),
+    "500 points in one cell": (
+        PointSet(
+            [point(Fraction(k, 10**6), Fraction(7 * k % 500, 10**6))
+             for k in range(500)]
+            + [point(x, y) for x in (-10, 10) for y in (-10, 10)]
+        ),
+        [(Fraction(-1, 1000), Fraction(-1, 1000), Fraction(3, 2000),
+          Fraction(3, 2000)), (-3, -3, 3, 3)],
+    ),
+    "floats that coincide": (
+        PointSet(
+            [point(i, j) for i in range(5) for j in range(4)]
+            + [point(2 + Fraction(1, 10**25), 3), point(1, 1 - Fraction(1, 10**25))]
+        ),
+        [(-1, -1, 5, 4), (2, 3, 2, 3)],
+    ),
+    "offset 1e30": (
+        PointSet(point(p.x + OFF, p.y - OFF, p.tag) for p in closed_form(None, 3)),
+        [(OFF - 2, -OFF - 2, OFF + 2, -OFF + 2), (OFF, -OFF, OFF + 1, -OFF),
+         (OFF + 10, -OFF + 10, OFF + 12, -OFF + 11)],
+    ),
+    "window outside the set": (
+        closed_form(None, 3), [(20, 20, 23, 22), (-40, -1, -38, 1)],
+    ),
+    "ragged lattice": (
+        _ragged_lattice(), [(-14, -11, 14, 10), (11, 5, 15, 12)],
+    ),
+    "one row": (
+        PointSet(point(Fraction(k * k, 7), 0) for k in range(40)),
+        [(-5, -1, 240, 1), (100, 0, 101, 0)],
+    ),
+    "one column": (
+        PointSet(point(0, Fraction(k * k % 97, 3)) for k in range(60)),
+        [(-1, -2, 1, 34)],
+    ),
+    "distances beyond the float range": (
+        PointSet([point(0, 0), point(10**200, 1), point(-(10**200), 3)]),
+        [(-1, -1, 1, 1)],
+    ),
+    "span beyond the float range": (
+        PointSet([point(0, 0), point(1, 15 * 10**307), point(2, -15 * 10**307)]),
+        [(-1, -1, 3, 1)],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", GRID_CASES)
+def test_bucket_grid_matches_kd_tree_and_pair_scan(case):
+    ps, windows = GRID_CASES[case]
+    for window in windows:
+        for res in window[4:] or (Fraction(1, 4), Fraction(1, 10)):
+            assert covering_radius(ps, window[:4], res) == brute_force_covering(
+                ps, window[:4], res
+            ), (window, res)
+    if len(ps) > 1:
+        assert min_gap(ps).pair == brute_force_gap_pair(ps)
+
+
+def test_bucket_grid_rounding_margin():
+    # 255 points on the line x = 0, which set the grid's cell side:
+    # (0, -ylo) at the bottom and 252 points 1e-25 apart at the top, whose
+    # floats coincide.  The center (0, 0) lies within rounding of the top
+    # of its cell, and (0, yb) is two cells up by the rounded cell formula
+    # yet nearer than one cell side; (0, -yp) lies in the 3x3 cells,
+    # farther than (0, yb) and nearer than the side, so only the rounding
+    # margin sends the center on to the scan that finds (0, yb).
+    ylo, yhi = Fraction(32.58639626351197), Fraction(93.31558930005703)
+    yp, yb = Fraction(0.49373327671987616), Fraction(0.4937332767198761)
+    ps = PointSet(
+        [point(0, -ylo), point(0, -yp), point(0, yb)]
+        + [point(0, yhi + Fraction(k, 10**25)) for k in range(252)]
+    )
+    got = covering_radius(ps, (0, 0, 0, 0), 1)
+    assert got == brute_force_covering(ps, (0, 0, 0, 0), 1)
+    assert got.radius == float(yb)
+
+
 def test_covering_grid_cap(monkeypatch):
     monkeypatch.setattr(diagnostics, "COVER_GRID_CAP", 110)
     ps = PointSet([point(0, 0)])
