@@ -12,13 +12,13 @@ only in reported distances, with error bounds attached.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, gcd, isqrt
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 from .exact import (
     FieldMismatchError,
+    Immutable,
     QuadExt,
     RationalLike,
     as_fraction,
@@ -28,6 +28,7 @@ from .exact import (
     parse_quadext,
     sqrt_bounds_frac,
     sqrt_with_error,
+    squarefree_split,
 )
 
 class RatioRationalError(ValueError):
@@ -61,44 +62,47 @@ def _floor_surd(P: int, s: int, Q: int) -> int:
     return (-P - s - 1) // (-Q)
 
 
-def _reduce_triple(P: int, D: int, Q: int) -> tuple[int, int, int]:
-    """Divide out the largest e with e | P, e | Q and e*e | D that keeps
-    Q | (D - P*P) intact."""
-    g = gcd(P, Q)
-    for e in range(g, 1, -1):
-        if g % e != 0 or D % (e * e) != 0:
-            continue
-        Pr, Dr, Qr = P // e, D // (e * e), Q // e
-        if (Dr - Pr * Pr) % Qr == 0:
-            return Pr, Dr, Qr
-    return P, D, Q
-
-
-@dataclass(frozen=True)
-class QuadIrrational:
+class QuadIrrational(Immutable):
     """The quadratic irrational (P + sqrt(D)) / Q with Q | (D - P*P).
 
     Stored reduced.  Q keeps its sign: values such as 3 - sqrt(2) only
-    admit this shape with a negative denominator.
+    admit this shape with a negative denominator.  d is the squarefree
+    part of D, so D = C*C*d for an integer C; a caller that knows it
+    passes it (``from_quadext`` does; only D = C*C*d is checked), since
+    factoring a large D by trial division would not finish.  Equality
+    and hash use (P, D, Q).
     """
+
+    __slots__ = ("P", "D", "Q", "d")
 
     P: int
     D: int
     Q: int
+    d: int
 
-    def __post_init__(self):
-        P, D, Q = self.P, self.D, self.Q
+    def __init__(self, P: int, D: int, Q: int, d: Optional[int] = None):
         if Q == 0:
             raise ValueError("Q must be nonzero")
         if D <= 0 or isqrt(D) ** 2 == D:
             raise ValueError("D must be positive and not a perfect square")
+        if d is None:
+            d = squarefree_split(D)[1]
+        elif d < 1 or D % d or isqrt(D // d) ** 2 != D // d:
+            raise ValueError("d must be the squarefree part of D")
         if (D - P * P) % Q != 0:
             s = abs(Q)
             P, D, Q = P * s, D * s * s, Q * s
-        P, D, Q = _reduce_triple(P, D, Q)
-        object.__setattr__(self, "P", P)
-        object.__setattr__(self, "D", D)
-        object.__setattr__(self, "Q", Q)
+        # dividing by e keeps Q | D - P*P exactly when e divides P, Q and
+        # N = (D - P*P) / Q: D/e^2 - (P/e)^2 = (Q/e)(N/e), and e*e divides
+        # D = Q*N + P*P.  The largest such e is their gcd.
+        e = gcd(P, Q, (D - P * P) // Q)
+        object.__setattr__(self, "P", P // e)
+        object.__setattr__(self, "D", D // (e * e))
+        object.__setattr__(self, "Q", Q // e)
+        object.__setattr__(self, "d", d)
+
+    def _values(self) -> tuple:
+        return self.P, self.D, self.Q
 
     @classmethod
     def from_quadext(cls, x: QuadExt) -> "QuadIrrational":
@@ -111,11 +115,12 @@ class QuadIrrational:
         C = x.b.numerator * (L // x.b.denominator)
         D = C * C * x.d
         if C > 0:
-            return cls(A, D, L)
-        return cls(-A, D, -L)
+            return cls(A, D, L, x.d)
+        return cls(-A, D, -L, x.d)
 
     def to_quadext(self) -> QuadExt:
-        return QuadExt(Fraction(self.P, self.Q), Fraction(1, self.Q), self.D)
+        C = isqrt(self.D // self.d)
+        return QuadExt(Fraction(self.P, self.Q), Fraction(C, self.Q), self.d)
 
     def __float__(self) -> float:
         return self.to_quadext().to_float()[0]
@@ -124,19 +129,25 @@ class QuadIrrational:
         return _floor_surd(self.P, isqrt(self.D), self.Q)
 
 
-@dataclass(frozen=True)
-class ContinuedFraction:
+class ContinuedFraction(Immutable):
     """Eventually periodic expansion [a0; preperiod, (period repeating)]."""
+
+    __slots__ = ("a0", "preperiod", "period")
 
     a0: int
     preperiod: tuple[int, ...]
     period: tuple[int, ...]
 
-    def __post_init__(self):
-        if not self.period:
+    def __init__(
+        self, a0: int, preperiod: tuple[int, ...], period: tuple[int, ...]
+    ):
+        if not period:
             raise ValueError("period must be nonempty")
-        if any(a < 1 for a in self.preperiod + self.period):
+        if any(a < 1 for a in preperiod + period):
             raise ValueError("partial quotients after a0 must be >= 1")
+        object.__setattr__(self, "a0", a0)
+        object.__setattr__(self, "preperiod", preperiod)
+        object.__setattr__(self, "period", period)
 
     def terms(self) -> Iterator[int]:
         yield self.a0
@@ -243,19 +254,20 @@ def _lift_vec(v) -> Vec:
     return as_quad(x), as_quad(y)
 
 
-@dataclass(frozen=True)
-class Cylinder:
+class Cylinder(Immutable):
     """Flat cylinder data: circumference vector, one crossing saddle
     connection's holonomy, and the width it spans."""
+
+    __slots__ = ("circumference", "crossing", "width")
 
     circumference: Vec
     crossing: Vec
     width: Fraction
 
-    def __post_init__(self):
-        l = _lift_vec(self.circumference)
-        h = _lift_vec(self.crossing)
-        w = as_fraction(self.width)
+    def __init__(self, circumference, crossing, width):
+        l = _lift_vec(circumference)
+        h = _lift_vec(crossing)
+        w = as_fraction(width)
         object.__setattr__(self, "circumference", l)
         object.__setattr__(self, "crossing", h)
         object.__setattr__(self, "width", w)
@@ -271,8 +283,7 @@ class Cylinder:
             )
 
 
-@dataclass(frozen=True)
-class ClosePairResult:
+class ClosePairResult(NamedTuple):
     """Twist counts and the resulting verified-close holonomy vectors."""
 
     n0: int

@@ -10,10 +10,9 @@ from scratch.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, prod
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .exact import PlanarPoint, PointSet, QuadExt, as_fraction
 
@@ -123,8 +122,7 @@ def solve_crt(residues: list[int], moduli: list[int]) -> int:
     return x % m
 
 
-@dataclass(frozen=True)
-class HoleCertificate:
+class HoleCertificate(NamedTuple):
     """Witness of an R-ball free of gcd <= N points.
 
     The grid point (x + i, y + j), 1 <= i, j <= n, is divisible by the
@@ -205,8 +203,7 @@ def crt_hole(max_gcd: int, radius) -> HoleCertificate:
     return HoleCertificate(max_gcd, R, n, primes, x, y)
 
 
-@dataclass(frozen=True)
-class HoleReport:
+class HoleReport(NamedTuple):
     """Outcome of re-verifying a certificate from scratch."""
 
     passed: bool

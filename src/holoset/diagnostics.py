@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .exact import (
     FloatRangeError,
@@ -31,29 +30,25 @@ ESTIMATE_LABEL = "finite-window estimate"
 Window = tuple[Fraction, Fraction, Fraction, Fraction]
 
 
-@dataclass(frozen=True)
-class MinGapResult:
+class MinGapResult(NamedTuple):
     gap: float
     err: float
     pair: tuple[PlanarPoint, PlanarPoint]
 
 
-@dataclass(frozen=True)
-class CoveringResult:
+class CoveringResult(NamedTuple):
     radius: float
     center: tuple[float, float]
     center_exact: tuple[Fraction, Fraction]
 
 
-@dataclass(frozen=True)
-class GrowthCounts:
+class GrowthCounts(NamedTuple):
     counts: tuple[tuple[Fraction, int], ...]
     coefficients: tuple[float, ...]
     non_quadratic: bool
 
 
-@dataclass(frozen=True)
-class DeloneReport:
+class DeloneReport(NamedTuple):
     min_gap: MinGapResult
     covering: CoveringResult
     growth: GrowthCounts
@@ -122,6 +117,18 @@ class _BucketGrid:
         self.order = np.argsort(cell, kind="stable")
         self.count = np.bincount(cell, minlength=self.nx * self.ny)
         self.start = np.cumsum(self.count) - self.count
+        # about sqrt(cells) blocks of k x k cells, each with the bounding
+        # box of its points, for the queries far from every point
+        k = max(1, math.isqrt(math.isqrt(self.nx * self.ny)))
+        block = cx // k * (self.ny // k + 1) + cy // k
+        self.border = np.argsort(block, kind="stable")
+        self.bstart = np.flatnonzero(np.diff(block[self.border], prepend=-1))
+        self.bend = np.append(self.bstart[1:], n)
+        self.box = [
+            f.reduceat(t[self.border], self.bstart)
+            for t in (xs, ys)
+            for f in (np.minimum, np.maximum)
+        ]
 
     def _cells(self, xs, ys):
         """Cell coordinates, clamped to [-2, cells + 1]: beyond that, the
@@ -158,12 +165,35 @@ class _BucketGrid:
         for q, k in self._slots(qx, qy):
             dist[q] = np.minimum(dist[q], _float_dist(xs[k], ys[k], qx[q], qy[q]))
         # a query whose nearest point in its 3x3 cells is not within reach
-        # scans every point
+        # searches the blocks
         far = np.flatnonzero(~(dist < self.reach))
-        step = max(1, _QUERY_CHUNK // len(xs))
+        step = max(1, _QUERY_CHUNK // len(self.bstart))
         for f in (far[c : c + step] for c in range(0, len(far), step)):
-            dist[f] = _float_dist(xs, ys, qx[f, None], qy[f, None]).min(axis=1)
+            dist[f] = self._far(qx[f], qy[f])
         return dist
+
+    def _far(self, qx, qy):
+        """_float_dist from each query to the nearest point, from the
+        blocks whose box lies within the distance to some block's first
+        point.  Rounding is monotone, so the float distance to a box is
+        at most that to each of its points: the nearest point's block is
+        always among them."""
+        import numpy as np
+        xs, ys, (x0, x1, y0, y1) = self.xs, self.ys, self.box
+        first = self.border[self.bstart]
+        cx, cy = qx[:, None], qy[:, None]
+        best = _float_dist(xs[first], ys[first], cx, cy).min(axis=1)
+        with np.errstate(over="ignore"):
+            gx = np.maximum(np.maximum(x0 - cx, cx - x1), 0.0)
+            gy = np.maximum(np.maximum(y0 - cy, cy - y1), 0.0)
+        q, b = np.nonzero(_float_dist(gx, gy, 0.0, 0.0) <= best[:, None])
+        pos, end = self.bstart[b], self.bend[b]
+        while (more := pos < end).any():
+            q, pos, end = q[more], pos[more], end[more]
+            k = self.border[pos]
+            np.minimum.at(best, q, _float_dist(xs[k], ys[k], qx[q], qy[q]))
+            pos += 1
+        return best
 
     def pairs(self, r: float):
         """Index pairs i < j, in order, of points whose _float_dist is at

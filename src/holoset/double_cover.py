@@ -13,11 +13,11 @@ other singularity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from .exact import (
+    Immutable,
     PlanarPoint,
     PointSet,
     QuadExt,
@@ -35,21 +35,26 @@ TAG_UV = "UV"
 TAG_VU = "VU"
 
 
-@dataclass(frozen=True)
-class ShiftVector:
+class ShiftVector(Immutable):
     """Branch shift t = (tx, ty); both components must be irrational and
     lie strictly between 0 and 1 so t is not a lattice point of either
     family."""
 
-    tx: QuadExt = field(default_factory=lambda: QuadExt(-1, 1, 2))
-    ty: QuadExt = field(default_factory=lambda: QuadExt(-1, 1, 3))
+    __slots__ = ("tx", "ty")
 
-    def __post_init__(self):
-        for name, c in (("tx", self.tx), ("ty", self.ty)):
+    tx: QuadExt
+    ty: QuadExt
+
+    def __init__(
+        self, tx: QuadExt = QuadExt(-1, 1, 2), ty: QuadExt = QuadExt(-1, 1, 3)
+    ):
+        for name, c in (("tx", tx), ("ty", ty)):
             if c.is_rational:
                 raise ValueError(f"{name} must be irrational")
             if not (QuadExt(0) < c < QuadExt(1)):
                 raise ValueError(f"{name} must lie in (0, 1)")
+        object.__setattr__(self, "tx", tx)
+        object.__setattr__(self, "ty", ty)
 
 
 def _norm_le(x: QuadExt, y: QuadExt, R2: Fraction) -> bool:

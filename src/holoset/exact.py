@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
 from math import floor as _floor, inf, isqrt, ulp
@@ -21,6 +20,35 @@ from typing import Iterable, Iterator, Optional, Union
 RationalLike = Union[int, Fraction]
 
 _ZERO = Fraction(0)
+
+# immutable classes set their slots through this, bound once
+_setattr = object.__setattr__
+
+
+class Immutable:
+    """Base of the immutable ``__slots__`` classes: assigning an attribute
+    raises AttributeError, and equality, hash and repr follow the slots'
+    values in order (a subclass narrows equality by overriding _values)."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__name__}({args})"
 
 
 class FieldMismatchError(ValueError):
@@ -143,7 +171,7 @@ def _quad_sign(a: Fraction, b: Fraction, d: int) -> int:
     return sa if lhs > rhs else sb
 
 
-class QuadExt:
+class QuadExt(Immutable):
     """Immutable element a + b*sqrt(d) of a real quadratic field.
 
     d is kept squarefree (square parts are folded into b at construction)
@@ -180,12 +208,9 @@ class QuadExt:
             b = _ZERO
         elif not b:
             d = 1
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "d", d)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("QuadExt is immutable")
+        _setattr(self, "a", a)
+        _setattr(self, "b", b)
+        _setattr(self, "d", d)
 
     # -- basic protocol ------------------------------------------------
 
@@ -475,6 +500,20 @@ _RE_FULL = re.compile(
 )
 
 
+# The largest radicand parse_quadext accepts.  squarefree_split trial-
+# divides up to the square root, and a product of two radicands (as a
+# mixed-field RadicalSum forms) is split too, so this bound keeps every
+# split to well under a second.
+MAX_RADICAND = 10**6
+
+
+def _radicand(tok: str, text: str) -> int:
+    n = int(tok)
+    if n > MAX_RADICAND:
+        raise ParseError(f"radicand of {text!r} exceeds {MAX_RADICAND}")
+    return n
+
+
 def _parse_rat(tok: str) -> Fraction:
     try:
         return Fraction(tok)
@@ -500,7 +539,7 @@ def parse_quadext(text: str) -> QuadExt:
         coef = _parse_rat(m.group(1)) if m.group(1) else Fraction(1)
         if m.group(2) == "-":
             coef = -coef
-        return QuadExt(0, coef, int(m.group(3)))
+        return QuadExt(0, coef, _radicand(m.group(3), text))
     m = _RE_FULL.match(s)
     if m:
         a = _parse_rat(m.group(1))
@@ -508,14 +547,14 @@ def parse_quadext(text: str) -> QuadExt:
         b = _parse_rat(btok[:-1]) if btok else Fraction(1)
         if m.group(2) == "-":
             b = -b
-        return QuadExt(a, b, int(m.group(4)))
+        return QuadExt(a, b, _radicand(m.group(4), text))
     raise ParseError(f"cannot parse exact number {text!r}")
 
 
 # -- sums of several radicals -------------------------------------------------
 
 
-class RadicalSum:
+class RadicalSum(Immutable):
     """Finite sum of c_k * sqrt(d_k) with distinct squarefree d_k >= 1.
 
     Closed under ring operations (products reduce sqrt(d1)*sqrt(d2) to a
@@ -538,10 +577,7 @@ class RadicalSum:
                     f, m = squarefree_split(d)
                     clean[m] = clean.get(m, Fraction(0)) + c * f
             clean = {d: c for d, c in clean.items() if c != 0}
-        object.__setattr__(self, "_terms", clean)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("RadicalSum is immutable")
+        _setattr(self, "_terms", clean)
 
     @classmethod
     def of(cls, *values: Union[QuadExt, Fraction, int]) -> "RadicalSum":
@@ -743,17 +779,26 @@ def sqrt_with_error(sq: RadicalSum) -> tuple[float, float]:
 # -- planar points and point sets ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class PlanarPoint:
+class PlanarPoint(Immutable):
     """A point with exact coordinates; x and y may live in different fields.
 
     The tag records provenance (which construction produced the point) and
     does not participate in equality.
     """
 
+    __slots__ = ("x", "y", "tag")
+
     x: QuadExt
     y: QuadExt
-    tag: Optional[str] = field(default=None, compare=False)
+    tag: Optional[str]
+
+    def __init__(self, x: QuadExt, y: QuadExt, tag: Optional[str] = None):
+        _setattr(self, "x", x)
+        _setattr(self, "y", y)
+        _setattr(self, "tag", tag)
+
+    def _values(self) -> tuple:
+        return self.x, self.y
 
     def __iter__(self):
         return iter((self.x, self.y))
@@ -777,7 +822,7 @@ def point(x, y, tag: Optional[str] = None) -> PlanarPoint:
     return PlanarPoint(xq, yq, tag)
 
 
-class PointSet:
+class PointSet(Immutable):
     """Finite planar point set in canonical (lexicographic) order.
 
     Duplicate coordinates are merged (keeping the smallest tag), and the
@@ -802,12 +847,9 @@ class PointSet:
                 continue
             deduped.append(p)
             last = keys[i]
-        object.__setattr__(self, "points", tuple(deduped))
-        object.__setattr__(self, "d_x", d_x)
-        object.__setattr__(self, "d_y", d_y)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("PointSet is immutable")
+        _setattr(self, "points", tuple(deduped))
+        _setattr(self, "d_x", d_x)
+        _setattr(self, "d_y", d_y)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -817,15 +859,6 @@ class PointSet:
 
     def __getitem__(self, i):
         return self.points[i]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PointSet):
-            return NotImplemented
-        # QuadExt is canonical, so componentwise equality is value equality
-        return self.points == other.points
-
-    def __hash__(self) -> int:
-        return hash(tuple((p.x, p.y) for p in self.points))
 
     def __repr__(self) -> str:
         return f"PointSet({len(self.points)} points, d=({self.d_x},{self.d_y}))"

@@ -13,13 +13,12 @@ from __future__ import annotations
 import json
 import warnings
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
-from .exact import PointSet, as_fraction, point
+from .exact import Immutable, PointSet, as_fraction, point
 
 Perm = tuple[int, ...]
 
@@ -55,8 +54,7 @@ def _inverse(p: Perm) -> Perm:
     return tuple(inv)
 
 
-@dataclass(frozen=True)
-class VertexClass:
+class VertexClass(NamedTuple):
     """One branch point of the torus cover: a cycle of identified corners.
 
     cone_order k means total angle 2*pi*k; the class is singular when
@@ -68,16 +66,19 @@ class VertexClass:
     singular: bool
 
 
-@dataclass(frozen=True)
-class Direction:
+class Direction(Immutable):
     """Primitive integer direction in the closed first quadrant."""
+
+    __slots__ = ("p", "q")
 
     p: int
     q: int
 
-    def __post_init__(self):
-        if self.p < 0 or self.q < 0 or (self.p, self.q) == (0, 0):
+    def __init__(self, p: int, q: int):
+        if p < 0 or q < 0 or (p, q) == (0, 0):
             raise ValueError("direction must be nonzero with p, q >= 0")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
 
     @property
     def is_primitive(self) -> bool:

@@ -623,6 +623,82 @@ def test_subcommands_without_diagnose_do_not_import_numpy_or_scipy(tmp_path):
     assert (tmp_path / "ex.svg").read_text().count("<circle ") > 0
 
 
+def test_subcommands_without_diagnose_start_without_dataclasses(tmp_path):
+    # dataclasses imports inspect, ast, dis and tokenize: about 25 ms of
+    # every process.  Each command runs as `python -m holoset` does, in a
+    # fresh interpreter; modules loaded before holoset ran do not count.
+    csv_path = str(tmp_path / "ex.csv")
+    origami = write_json(tmp_path / "o.json", FOUR_SHEETS)
+    pair = write_json(tmp_path / "p.json", GOLDEN_PAIR)
+    commands = [
+        ["--help"],
+        ["coprime", "--radius", "5"],
+        ["enumerate", origami, "--radius", "3"],
+        ["hole", "--radius", "1"],
+        ["example", "--radius", "3", "--out", csv_path],
+        ["plot", csv_path],
+        ["close-pair", pair, "--radius", "0.01"],
+    ]
+    script = textwrap.dedent(
+        """
+        import runpy, sys
+        before = set(sys.modules)
+        sys.argv[0] = "holoset"
+        try:
+            runpy.run_module("holoset", run_name="__main__", alter_sys=True)
+        except SystemExit as exc:
+            code = exc.code
+        loaded = {"dataclasses", "inspect"} & (set(sys.modules) - before)
+        print(sorted(loaded), file=sys.stderr)
+        sys.exit(3 if loaded else code)
+        """
+    )
+    for argv in commands:
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            capture_output=True,
+            text=True,
+            env=CHILD_ENV,
+        )
+        assert proc.returncode == 0, (argv, proc.stderr)
+        assert proc.stdout or "--out" in argv, argv
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        # squarefree_split would trial-divide up to 1.5e9
+        ("plot", "x_exact,y_exact\nsqrt(2305843009213693951),0\n"),
+        # the ratio's D = 1000000007**2 * 2 would be factored again
+        (
+            "close-pair",
+            {**GOLDEN_PAIR, "l_prime": ["0/1+1000000007/1*sqrt(2)", "0"]},
+        ),
+        # gcd(P, Q) = 1000000007**2 would be searched divisor by divisor
+        ("close-pair", {**GOLDEN_PAIR, "l_prime": ["1/1000000007*sqrt(2)", "0"]}),
+    ],
+)
+def test_large_radicands_exit_two_promptly(tmp_path, command, doc):
+    path = tmp_path / "input"
+    if isinstance(doc, str):
+        path.write_text(doc, encoding="utf-8")
+    else:
+        write_json(path, doc)
+    args = [command, str(path)]
+    if command == "close-pair":
+        args += ["--radius", "0.01"]
+    script = f"import sys; from holoset.cli import main; sys.exit(main({args!r}))"
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
+        timeout=10,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ")
+
+
 def test_diagnose_does_not_import_scipy(tmp_path):
     csv_path, json_path = str(tmp_path / "ex.csv"), str(tmp_path / "ex.json")
     script = textwrap.dedent(

@@ -2,6 +2,7 @@
 close-pair construction."""
 
 import json
+import math
 import random
 from fractions import Fraction
 from itertools import islice
@@ -40,11 +41,12 @@ def mp_value(x: QuadIrrational):
 
 
 def test_quad_irrational_validation():
-    with pytest.raises(ValueError):
+    square = "^D must be positive and not a perfect square$"
+    with pytest.raises(ValueError, match=square):
         QuadIrrational(0, 4, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=square):
         QuadIrrational(0, -2, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^Q must be nonzero$"):
         QuadIrrational(1, 2, 0)
 
 
@@ -57,6 +59,51 @@ def test_quad_irrational_divisibility_normalization():
 def test_quad_irrational_reduction():
     x = QuadIrrational(2, 8, 2)
     assert (x.P, x.D, x.Q) == (1, 2, 1)
+
+
+def reduce_by_search(P, D, Q):
+    """The reduction by trial of every divisor e of gcd(P, Q), largest
+    first: the reference the one-gcd reduction must match."""
+    if (D - P * P) % Q != 0:
+        s = abs(Q)
+        P, D, Q = P * s, D * s * s, Q * s
+    g = math.gcd(P, Q)
+    for e in range(g, 1, -1):
+        if g % e == 0 and D % (e * e) == 0:
+            if (D // (e * e) - (P // e) ** 2) % (Q // e) == 0:
+                return P // e, D // (e * e), Q // e
+    return P, D, Q
+
+
+def test_quad_irrational_reduction_matches_the_divisor_search():
+    rng = random.Random(7)
+    for _ in range(2000):
+        d = rng.choice([2, 3, 5, 6, 7, 10, 13])
+        D = rng.randint(1, 30) ** 2 * d
+        P, Q = rng.randint(-60, 60), rng.choice([-1, 1]) * rng.randint(1, 60)
+        x = QuadIrrational(P, D, Q)
+        assert (x.P, x.D, x.Q) == reduce_by_search(P, D, Q), (P, D, Q)
+        assert x.d == d
+
+
+def test_quad_irrational_keeps_the_field_radicand():
+    # D = 1000000007**2 * 2 has no factorisation by trial division in
+    # reasonable time, nor has gcd(P, Q) = 1000000007**2 a divisor search
+    for q in (QuadExt(0, 1000000007, 2), QuadExt(0, Fraction(1, 1000000007), 2)):
+        x = QuadIrrational.from_quadext(q)
+        assert x.d == 2
+        assert x.to_quadext() == q
+    with pytest.raises(ValueError, match="^d must be the squarefree part of D$"):
+        QuadIrrational(0, 8, 1, 3)
+
+
+def test_quad_irrational_is_an_immutable_value():
+    x = QuadIrrational(2, 8, 2)
+    assert x == QuadIrrational(1, 2, 1) and hash(x) == hash(QuadIrrational(1, 2, 1))
+    assert x != SQRT2 and SQRT2 != (0, 2, 1)
+    for name in ("P", "D", "Q", "d", "R"):
+        with pytest.raises(AttributeError):
+            setattr(SQRT2, name, 1)
 
 
 def test_from_quadext_round_trip():
@@ -100,10 +147,24 @@ def test_cf_expand_budget():
 
 
 def test_cf_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^period must be nonempty$"):
         ContinuedFraction(1, (), ())
-    with pytest.raises(ValueError):
+    after = "^partial quotients after a0 must be >= 1$"
+    with pytest.raises(ValueError, match=after):
         ContinuedFraction(1, (0,), (2,))
+    with pytest.raises(ValueError, match=after):
+        ContinuedFraction(1, (), (3, -1))
+
+
+def test_cf_is_an_immutable_value():
+    cf = ContinuedFraction(1, (1, 1), (2,))
+    assert cf == cf_expand(QuadIrrational.from_quadext(QuadExt(3, -1, 2)))
+    assert hash(cf) == hash(ContinuedFraction(1, (1, 1), (2,)))
+    assert cf != ContinuedFraction(1, (1,), (1, 2))
+    assert repr(cf) == "ContinuedFraction(a0=1, preperiod=(1, 1), period=(2,))"
+    for name in ("a0", "preperiod", "period", "terms_seen"):
+        with pytest.raises(AttributeError):
+            setattr(cf, name, ())
 
 
 def test_convergents_sqrt2():
@@ -231,12 +292,31 @@ ROOT2 = Cylinder(
 
 
 def test_cylinder_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(
+        ValueError, match="^crossing holonomy must span the width exactly once$"
+    ):
         Cylinder((1, 0), (Fraction(1, 3), Fraction(1, 50)), Fraction(1, 49))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^width must be positive$"):
         Cylinder((1, 0), (Fraction(1, 3), Fraction(1, 50)), 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^circumference must be nonzero$"):
         Cylinder((0, 0), (1, 1), 1)
+
+
+def test_cylinder_is_an_immutable_value():
+    again = Cylinder(
+        circumference=(1, 0), crossing=("1/3", "1/50"), width="0.02"
+    )
+    assert again == UNIT and hash(again) == hash(UNIT)
+    assert again.crossing == (QuadExt(Fraction(1, 3)), QuadExt(Fraction(1, 50)))
+    assert UNIT != ROOT2
+    assert repr(UNIT).startswith("Cylinder(circumference=(QuadExt(")
+    for name in ("circumference", "crossing", "width", "area"):
+        with pytest.raises(AttributeError):
+            setattr(UNIT, name, 1)
+    res = close_pair(UNIT, ROOT2, Fraction(1, 5))
+    for name in ("n0", "n0p", "v1", "v2", "dist", "dist_err"):
+        with pytest.raises(AttributeError):
+            setattr(res, name, 1)
 
 
 def test_cylinder_accepts_consistent_data():

@@ -161,6 +161,22 @@ def test_certificate_json_round_trip():
     assert verify_hole(back).passed
 
 
+def test_certificate_and_report_are_immutable():
+    cert = crt_hole(1, 1)
+    report = verify_hole(cert)
+    assert report.to_json_dict() == {
+        "passed": True, "failure": None, "counterexample": None
+    }
+    assert cert.center == (cert.x + 2, cert.y + 2)
+    for record, names in (
+        (cert, ("max_gcd", "radius", "n", "primes", "x", "y", "extra")),
+        (report, ("passed", "failure", "counterexample", "extra")),
+    ):
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(record, name, 1)
+
+
 def test_malformed_certificate_raises():
     with pytest.raises(CertificateError):
         HoleCertificate.from_json_dict({"n": 2})

@@ -348,6 +348,67 @@ def test_bucket_grid_matches_kd_tree_and_pair_scan(case):
         assert min_gap(ps).pair == brute_force_gap_pair(ps)
 
 
+@pytest.mark.parametrize("chunk", [None, 64])
+def test_covering_matches_brute_force_on_windows_outside_the_set(
+    monkeypatch, chunk
+):
+    # the centers lie farther than the 3x3 cells around them from every
+    # point, wholly or in the corners of a window wider than the set; with
+    # small chunks their queries span several chunks
+    if chunk:
+        monkeypatch.setattr(diagnostics, "_QUERY_CHUNK", chunk)
+    ps = closed_form(None, 8)
+    res = Fraction(1, 4)
+    for window in [(12, 12, 16, 15), (-30, -2, -26, 2), (-12, -12, 12, 12)]:
+        assert covering_radius(ps, window, res) == brute_force_covering(
+            ps, window, res
+        ), window
+
+
+def test_far_queries_match_a_scan_of_every_point():
+    # queries on every side of random sets, from just beyond the 3x3
+    # cells to far away: each block bound must hold on all four sides
+    import numpy as np
+
+    rng = np.random.default_rng(5)
+    for xs, ys in [
+        rng.normal(size=(2, 400)),
+        rng.uniform(-3, 5, size=(2, 900)) * np.array([[1.0], [0.1]]),
+        (rng.integers(-20, 20, 300).astype(float), rng.normal(size=300) * 1e-3),
+    ]:
+        grid = diagnostics._BucketGrid(xs.tolist(), ys.tolist())
+        angle = rng.uniform(0, 2 * np.pi, 3000)
+        dist = np.exp(rng.uniform(0, 4, 3000)) * grid.reach
+        qx = xs.mean() + (np.ptp(xs) / 2 + dist) * np.cos(angle)
+        qy = ys.mean() + (np.ptp(ys) / 2 + dist) * np.sin(angle)
+        every = diagnostics._float_dist(xs, ys, qx[:, None], qy[:, None])
+        assert grid.nearest(qx, qy).tolist() == every.min(axis=1).tolist()
+
+
+def test_far_queries_do_not_touch_every_point(monkeypatch):
+    import numpy as np
+
+    ps = closed_form(None, 10)
+    xs, ys, _ = diagnostics._local_floats(ps.points, 0, 0)
+    grid = diagnostics._BucketGrid(xs, ys)
+    float_dist = diagnostics._float_dist
+    evaluated = []
+
+    def counting(*args):
+        out = float_dist(*args)
+        evaluated.append(out.size)
+        return out
+
+    monkeypatch.setattr(diagnostics, "_float_dist", counting)
+    qx, qy = np.array([40.0, -3.0, 15.0]), np.array([25.0, -60.0, 0.5])
+    got = grid.nearest(qx, qy)
+    every = float_dist(np.array(xs), np.array(ys), qx[:, None], qy[:, None])
+    assert got.tolist() == every.min(axis=1).tolist()
+    # distances to each block's first point, a bound per block and the
+    # points of the blocks near each query, against 3 * len(xs) for a scan
+    assert sum(evaluated) < len(xs)
+
+
 def test_bucket_grid_rounding_margin():
     # 255 points on the line x = 0, which set the grid's cell side:
     # (0, -ylo) at the bottom and 252 points 1e-25 apart at the top, whose
@@ -507,6 +568,21 @@ def test_delone_report_two_points():
     assert report.min_gap.gap == pytest.approx(2.0, abs=1e-12)
     assert report.growth.counts[0][1] == 1
     assert report.growth.counts[1][1] == 2
+
+
+def test_report_records_are_immutable():
+    report = delone_report(
+        closed_form(None, 3), (-1, -1, 1, 1), Fraction(1, 10), (1, 2, 3)
+    )
+    for record, names in (
+        (report, ("min_gap", "covering", "growth", "label")),
+        (report.min_gap, ("gap", "err", "pair")),
+        (report.covering, ("radius", "center", "center_exact")),
+        (report.growth, ("counts", "coefficients", "non_quadratic")),
+    ):
+        for name in (*names, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 1)
 
 
 def test_report_json_round_trip():

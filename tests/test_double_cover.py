@@ -44,12 +44,26 @@ def test_default_shift():
 
 
 def test_shift_validation():
-    with pytest.raises(ValueError):
-        ShiftVector(tx=QuadExt(Fraction(1, 2)), ty=SQRT3M1)
-    with pytest.raises(ValueError):
-        ShiftVector(tx=QuadExt(1, 1, 2), ty=SQRT3M1)
-    with pytest.raises(ValueError):
-        ShiftVector(tx=QuadExt(-2, 1, 2), ty=SQRT3M1)
+    for kwargs, message in [
+        ({"tx": QuadExt(Fraction(1, 2))}, "tx must be irrational"),
+        ({"tx": QuadExt(1, 1, 2)}, r"tx must lie in \(0, 1\)"),
+        ({"tx": QuadExt(-2, 1, 2)}, r"tx must lie in \(0, 1\)"),
+        ({"ty": QuadExt(3)}, "ty must be irrational"),
+        ({"ty": QuadExt(1, 1, 3)}, r"ty must lie in \(0, 1\)"),
+        ({"tx": QuadExt(1), "ty": QuadExt(1)}, "tx must be irrational"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ShiftVector(**kwargs)
+
+
+def test_shift_is_an_immutable_value():
+    s = ShiftVector(SQRT2M1, ty=SQRT3M1)
+    assert s == ShiftVector() and hash(s) == hash(ShiftVector())
+    assert s != ShiftVector(ty=QuadExt(-2, 1, 5))
+    assert repr(s) == f"ShiftVector(tx={SQRT2M1!r}, ty={SQRT3M1!r})"
+    for name in ("tx", "ty", "tz"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, SQRT2M1)
 
 
 def test_closed_form_membership_examples():

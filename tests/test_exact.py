@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import random
+import re
 from fractions import Fraction
 
 import mpmath
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holoset.exact import (
+    MAX_RADICAND,
     CsvRowError,
     FieldMismatchError,
     ParseError,
@@ -191,6 +193,19 @@ def test_parse_accepts_short_forms():
 def test_parse_rejects_garbage():
     for bad in ("", "sqrt()", "1++2", "sqrt(-2)", "one", "1/0"):
         with pytest.raises(ParseError):
+            parse_quadext(bad)
+
+
+def test_parse_bounds_the_radicand():
+    # trial division would not finish on radicands like 2**61 - 1
+    assert parse_quadext(f"sqrt({MAX_RADICAND})") == QuadExt(0, 1000, 1)
+    assert parse_quadext("1+2*sqrt(999983)") == QuadExt(1, 2, 999983)
+    for bad in (
+        f"sqrt({MAX_RADICAND + 1})",
+        "sqrt(2305843009213693951)",
+        "1/2-3*sqrt(2305843009213693951)",
+    ):
+        with pytest.raises(ParseError, match=re.escape(repr(bad))):
             parse_quadext(bad)
 
 
@@ -527,6 +542,23 @@ def test_pointset_membership_and_negation():
     assert point(1, 2) in ps
     assert point(2, 1) not in ps
     assert ps.negate() == ps
+
+
+def test_planar_point_equality_and_hash_ignore_the_tag():
+    p = PlanarPoint(QuadExt(-1, 1, 2), QuadExt(1), "UV")
+    q = PlanarPoint(QuadExt(-1, 1, 2), QuadExt(1))
+    assert q.tag is None
+    assert p == q and hash(p) == hash(q) and len({p, q}) == 1
+    assert p != PlanarPoint(QuadExt(-1, 1, 2), QuadExt(2), "UV")
+    assert p != (p.x, p.y)
+    assert tuple(p) == (p.x, p.y)
+    assert repr(q) == (
+        "PlanarPoint(x=QuadExt(Fraction(-1, 1), Fraction(1, 1), 2), "
+        "y=QuadExt(Fraction(1, 1), Fraction(0, 1), 1), tag=None)"
+    )
+    for name in ("x", "y", "tag", "z"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, QuadExt(0))
 
 
 def test_dist_sq_mixed_fields():

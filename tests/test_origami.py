@@ -108,6 +108,32 @@ def test_crossing_word_rejects_non_primitive():
         crossing_word(Direction(0, 3))
 
 
+@pytest.mark.parametrize("p, q", [(0, 0), (-1, 2), (3, -1)])
+def test_direction_validation(p, q):
+    with pytest.raises(
+        ValueError, match=r"^direction must be nonzero with p, q >= 0$"
+    ):
+        Direction(p, q)
+
+
+def test_direction_is_an_immutable_value():
+    d = Direction(2, 3)
+    assert d == Direction(p=2, q=3) and hash(d) == hash(Direction(2, 3))
+    assert d != Direction(3, 2) and d != (2, 3)
+    assert repr(d) == "Direction(p=2, q=3)"
+    assert d.is_primitive and not Direction(2, 4).is_primitive
+    for name in ("p", "q", "r"):
+        with pytest.raises(AttributeError):
+            setattr(d, name, 1)
+
+
+def test_vertex_class_is_immutable():
+    c = vertex_classes(ORIG3)[0]
+    for name in ("sheets", "cone_order", "singular"):
+        with pytest.raises(AttributeError):
+            setattr(c, name, getattr(c, name))
+
+
 def test_monodromy_axis_directions():
     for o in CORPUS:
         assert monodromy(o, Direction(1, 0)) == o.h
