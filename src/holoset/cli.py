@@ -27,7 +27,6 @@ from typing import Optional, Sequence
 
 from .close_pair import (
     ApproximationSearchError,
-    ConfigError,
     IncompleteExpansionError,
     RatioRationalError,
     VerificationError,
@@ -44,9 +43,7 @@ from .coprime import (
 from .diagnostics import delone_report, report_to_json_dict
 from .double_cover import closed_form, geometric_oracle
 from .exact import (
-    CsvRowError,
     FloatRangeError,
-    ParseError,
     PointSet,
     as_fraction,
     format_quadext,
@@ -56,7 +53,6 @@ from .exact import (
 from .origami import (
     DisconnectedSurfaceError,
     Origami,
-    OrigamiFormatError,
     enumerate_holonomies,
 )
 
@@ -408,11 +404,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except WidthPreconditionError as exc:
         return _fail(EXIT_WIDTH, exc)
     except (
-        OrigamiFormatError,
-        ConfigError,
-        CsvRowError,
-        CertificateError,
-        ParseError,
         IncompleteExpansionError,
         ApproximationSearchError,
         VerificationError,

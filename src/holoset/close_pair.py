@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import ceil, gcd, isqrt
+from math import ceil, gcd, isqrt, lcm
 from typing import Iterator, NamedTuple, Optional, Union
 
 from .exact import (
@@ -21,10 +21,11 @@ from .exact import (
     Immutable,
     QuadExt,
     RationalLike,
-    as_fraction,
+    as_positive,
     as_quad,
     cross,
     dot,
+    floor_surd,
     parse_quadext,
     sqrt_bounds_frac,
     sqrt_with_error,
@@ -53,13 +54,6 @@ class VerificationError(RuntimeError):
 
 class ConfigError(ValueError):
     """Malformed cylinder-pair configuration."""
-
-
-def _floor_surd(P: int, s: int, Q: int) -> int:
-    """floor((P + sqrt(D)) / Q) given s = isqrt(D), D not a square."""
-    if Q > 0:
-        return (P + s) // Q
-    return (-P - s - 1) // (-Q)
 
 
 class QuadIrrational(Immutable):
@@ -108,9 +102,7 @@ class QuadIrrational(Immutable):
     def from_quadext(cls, x: QuadExt) -> "QuadIrrational":
         if x.b == 0:
             raise ValueError("value is rational")
-        L = x.a.denominator * x.b.denominator // gcd(
-            x.a.denominator, x.b.denominator
-        )
+        L = lcm(x.a.denominator, x.b.denominator)
         A = x.a.numerator * (L // x.a.denominator)
         C = x.b.numerator * (L // x.b.denominator)
         D = C * C * x.d
@@ -126,7 +118,7 @@ class QuadIrrational(Immutable):
         return self.to_quadext().to_float()[0]
 
     def floor(self) -> int:
-        return _floor_surd(self.P, isqrt(self.D), self.Q)
+        return floor_surd(self.P, isqrt(self.D), self.Q)
 
 
 class ContinuedFraction(Immutable):
@@ -175,7 +167,7 @@ def cf_expand(x: QuadIrrational, max_terms: int = 1000) -> ContinuedFraction:
                 a0, tuple(quotients[1:first]), tuple(quotients[first:i])
             )
         seen[state] = i
-        a = _floor_surd(P, s, Q)
+        a = floor_surd(P, s, Q)
         quotients.append(a)
         P = a * Q - P
         Q = (D - P * P) // Q
@@ -212,9 +204,7 @@ def inhom_approx(
     takes the greedy multiple of the residue q*lambda - p nearest to c.
     A bounded brute-force scan over |mp| <= 2q backs the greedy step up.
     """
-    eps = as_fraction(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    eps = as_positive(eps, "eps")
     lam_q = lam.to_quadext()
     c_q = as_quad(c)
     if c_q.b != 0 and c_q.d != lam_q.d:
@@ -267,12 +257,10 @@ class Cylinder(Immutable):
     def __init__(self, circumference, crossing, width):
         l = _lift_vec(circumference)
         h = _lift_vec(crossing)
-        w = as_fraction(width)
+        w = as_positive(width, "width")
         object.__setattr__(self, "circumference", l)
         object.__setattr__(self, "crossing", h)
         object.__setattr__(self, "width", w)
-        if w <= 0:
-            raise ValueError("width must be positive")
         if not l[0] and not l[1]:
             raise ValueError("circumference must be nonzero")
         area = cross(l, h)
@@ -304,9 +292,7 @@ def close_pair(ci: Cylinder, cj: Cylinder, r) -> ClosePairResult:
     cylinders wider than r/4 are accepted whenever their crossings agree
     perpendicular to the shared direction.
     """
-    r = as_fraction(r)
-    if r <= 0:
-        raise ValueError("r must be positive")
+    r = as_positive(r, "r")
     l, lp = ci.circumference, cj.circumference
     h, hp = ci.crossing, cj.crossing
     if not cross(l, lp).is_zero:

@@ -11,18 +11,14 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import gcd, isqrt, prod
+from math import ceil, floor, gcd, isqrt, prod
 from typing import NamedTuple, Optional, Union
 
-from .exact import PlanarPoint, PointSet, QuadExt, as_fraction
+from .exact import PlanarPoint, PointSet, QuadExt, as_fraction, as_positive
 
 
 class CertificateError(ValueError):
     """Structurally malformed hole certificate."""
-
-
-def _floor(x: Fraction) -> int:
-    return x.numerator // x.denominator
 
 
 def _integer_lift(ks: range) -> dict[int, QuadExt]:
@@ -37,12 +33,10 @@ def gcd_filtered_points(max_gcd: int, radius) -> PointSet:
     radius ball, with gcd(k, 0) = |k|."""
     if max_gcd < 1:
         raise ValueError("max_gcd must be >= 1")
-    R = as_fraction(radius)
-    if R <= 0:
-        raise ValueError("radius must be positive")
+    R = as_positive(radius, "radius")
     # p*p + q*q is an integer, so comparing it with floor(R*R) is exact.
-    R2 = _floor(R * R)
-    r = _floor(R)
+    R2 = floor(R * R)
+    r = floor(R)
     ks = range(-r, r + 1)
     lift = _integer_lift(ks)
     pts = []
@@ -73,8 +67,8 @@ def gcd_filtered_window(max_gcd: int, window) -> PointSet:
     x0, y0, x1, y1 = (as_fraction(v) for v in window)
     if x1 < x0 or y1 < y0:
         raise ValueError("window is empty")
-    xs = range(-_floor(-x0), _floor(x1) + 1)
-    ys = range(-_floor(-y0), _floor(y1) + 1)
+    xs = range(ceil(x0), floor(x1) + 1)
+    ys = range(ceil(y0), floor(y1) + 1)
     lift_x = _integer_lift(xs)
     lift_y = _integer_lift(ys)
     pts = []
@@ -190,10 +184,8 @@ def crt_hole(max_gcd: int, radius) -> HoleCertificate:
     """
     if max_gcd < 1:
         raise ValueError("max_gcd must be >= 1")
-    R = as_fraction(radius)
-    if R <= 0:
-        raise ValueError("radius must be positive")
-    n = _floor(2 * R) + 1
+    R = as_positive(radius, "radius")
+    n = floor(2 * R) + 1
     flat = first_primes_above(max_gcd, n * n)
     primes = tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n))
     rows = [prod(row) for row in primes]
@@ -242,12 +234,10 @@ def verify_hole(cert: HoleCertificate) -> HoleReport:
     if not 2 * cert.radius < n:
         return HoleReport(False, "n does not exceed 2*radius")
 
-    for i in range(1, n + 1):
-        q = cert.row_products[i - 1]
+    for i, q in enumerate(cert.row_products, 1):
         if (cert.x + i) % q != 0:
             return HoleReport(False, "row congruence broken", (i, q))
-    for j in range(1, n + 1):
-        q = cert.col_products[j - 1]
+    for j, q in enumerate(cert.col_products, 1):
         if (cert.y + j) % q != 0:
             return HoleReport(False, "column congruence broken", (j, q))
 
@@ -262,8 +252,8 @@ def verify_hole(cert: HoleCertificate) -> HoleReport:
 
     cx, cy = cert.center
     R2 = cert.radius * cert.radius
-    ilo = _floor(cx - cert.radius - cert.x) - 1
-    ihi = _floor(cx + cert.radius - cert.x) + 2
+    ilo = floor(cx - cert.radius - cert.x) - 1
+    ihi = floor(cx + cert.radius - cert.x) + 2
     for i in range(ilo, ihi):
         for j in range(ilo, ihi):
             dx = cert.x + i - cx

@@ -20,6 +20,7 @@ from .exact import (
     PointSet,
     RadicalSum,
     as_fraction,
+    as_positive,
     format_quadext,
     norm_sq_bracket,
     sqrt_with_error,
@@ -295,9 +296,7 @@ def covering_radius(
     if not points:
         raise ValueError("point set is empty")
     x0, y0, x1, y1 = _as_window(window)
-    res = as_fraction(resolution)
-    if res <= 0:
-        raise ValueError("resolution must be positive")
+    res = as_positive(resolution, "resolution")
     nx = int((x1 - x0) / res) + 1
     ny = int((y1 - y0) / res) + 1
     if nx * ny > COVER_GRID_CAP:

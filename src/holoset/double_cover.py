@@ -22,7 +22,7 @@ from .exact import (
     PointSet,
     QuadExt,
     RadicalSum,
-    as_fraction,
+    as_positive,
     cross,
     dot,
     norm_sq_bracket,
@@ -89,9 +89,7 @@ def closed_form(shift: Optional[ShiftVector], radius) -> PointSet:
     description: coprime integer pairs, and the two shifted lattices.
     ``shift=None`` takes the default (sqrt(2)-1, sqrt(3)-1) shift."""
     shift = shift or ShiftVector()
-    R = as_fraction(radius)
-    if R <= 0:
-        raise ValueError("radius must be positive")
+    R = as_positive(radius, "radius")
     R2 = R * R
     tx, ty = shift.tx, shift.ty
     pts: list[PlanarPoint] = [
@@ -223,9 +221,7 @@ def geometric_oracle(shift: Optional[ShiftVector], radius) -> PointSet:
     takes the default shift, as in :func:`closed_form`.
     """
     shift = shift or ShiftVector()
-    R = as_fraction(radius)
-    if R <= 0:
-        raise ValueError("radius must be positive")
+    R = as_positive(radius, "radius")
     R2 = R * R
     tx, ty = shift.tx, shift.ty
     zero = QuadExt(0)

@@ -14,7 +14,7 @@ import csv
 import re
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
-from math import floor as _floor, inf, isqrt, ulp
+from math import gcd, inf, isqrt, ulp
 from typing import Iterable, Iterator, Optional, Union
 
 RationalLike = Union[int, Fraction]
@@ -80,6 +80,14 @@ def as_fraction(x: Union[int, float, str, Fraction]) -> Fraction:
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as a rational number")
+
+
+def as_positive(x, name: str) -> Fraction:
+    """``as_fraction(x)``; ValueError "<name> must be positive" unless it is."""
+    v = as_fraction(x)
+    if v <= 0:
+        raise ValueError(f"{name} must be positive")
+    return v
 
 
 @lru_cache(maxsize=None)
@@ -169,6 +177,19 @@ def _quad_sign(a: Fraction, b: Fraction, d: int) -> int:
         # Impossible for d > 1 squarefree with a, b nonzero; kept for safety.
         return 0
     return sa if lhs > rhs else sb
+
+
+def floor_surd(P: int, s: int, Q: int) -> int:
+    """floor((P + sqrt(D)) / Q) given s = isqrt(D), D not a square.
+
+    sqrt(D) lies strictly between s and s + 1, so the floor is that of
+    (P + s)/Q for Q > 0; for Q < 0 the negated numerator lies strictly
+    between -P - s - 1 and -P - s, and its floor over -Q is the one of
+    -P - s - 1.
+    """
+    if Q > 0:
+        return (P + s) // Q
+    return (-P - s - 1) // (-Q)
 
 
 class QuadExt(Immutable):
@@ -309,8 +330,7 @@ class QuadExt(Immutable):
         other = _lift(other)
         if other is NotImplemented:
             return NotImplemented
-        d = self._common_d(other)  # raises on genuine mismatch
-        del d
+        self._common_d(other)  # raises on genuine mismatch
         return self * other.inverse()
 
     # -- exact predicates ------------------------------------------------
@@ -343,36 +363,16 @@ class QuadExt(Immutable):
         return self.compare(other) >= 0
 
     def floor(self) -> int:
-        """Exact integer floor.
-
-        Filtered: with v +/- e the :meth:`to_float` bracket and |v| < 2**52,
-        m = floor(v) is exact, f = v - m is off by at most 2**-54 and
-        1 - f by at most 2**-53 in all; t exceeds e by more than 2**-53,
-        so t < f and t < 1 - f put the bracket strictly inside (m, m + 1)
-        and m is the floor.  Otherwise, and beyond the float range, an
-        exact walk from a 64-bit midpoint finds it.
-        """
-        if self.b == 0:
-            return self.a.numerator // self.a.denominator
-        try:
-            v, e = self.to_float()
-        except OverflowError:
-            pass
-        else:
-            if abs(v) < 2.0**52:
-                m = _floor(v)
-                f = v - m
-                t = e * (1 + 2.0**-50) + 2.0**-52
-                if t < f and t < 1 - f:
-                    return m
-        mid, err = self.approx(64)
-        m = (mid.numerator // mid.denominator) if err < 1 else 0
-        # mid is within err of the true value; walk to the exact floor.
-        while (self - m).sign() < 0:
-            m -= 1
-        while (self - (m + 1)).sign() >= 0:
-            m += 1
-        return m
+        """Exact integer floor, from integers alone: over q = da*db > 0 the
+        value is (A + B*sqrt(d))/q, and B*sqrt(d) is the signed root of
+        B*B*d, which is not a square (see :func:`floor_surd`)."""
+        na, da = self.a.numerator, self.a.denominator
+        if not self.b:
+            return na // da
+        nb, db = self.b.numerator, self.b.denominator
+        A, B, q = na * db, nb * da, da * db
+        s = isqrt(B * B * self.d)
+        return floor_surd(A, s, q) if B > 0 else floor_surd(-A, s, -q)
 
     # -- approximation ---------------------------------------------------
 
@@ -397,8 +397,8 @@ class QuadExt(Immutable):
         computed from integers: the midpoint a + b*(2s+1)/2**(bits+1) of
         :meth:`approx`, with s = isqrt(d << 2*bits), as one numerator over
         one denominator, whose int true division is correctly rounded as
-        ``float(Fraction)`` is.  ``compare`` and ``floor`` decide from this
-        bracket and fall back to exact arithmetic where it cannot.  Raises
+        ``float(Fraction)`` is.  ``compare`` decides from this bracket and
+        falls back to exact arithmetic where it cannot.  Raises
         OverflowError beyond the float range.
         """
         if precision_bits < 24:
@@ -567,29 +567,32 @@ class RadicalSum(Immutable):
 
     def __init__(self, terms: Optional[dict[int, Fraction]] = None):
         clean: dict[int, Fraction] = {}
-        if terms:
-            for d, c in terms.items():
-                if c == 0:
-                    continue
-                if d == 1:
-                    clean[1] = clean.get(1, Fraction(0)) + c
-                else:
-                    f, m = squarefree_split(d)
-                    clean[m] = clean.get(m, Fraction(0)) + c * f
-            clean = {d: c for d, c in clean.items() if c != 0}
-        _setattr(self, "_terms", clean)
+        for d, c in (terms or {}).items():
+            if d != 1 and c:
+                f, d = squarefree_split(d)
+                c *= f
+            clean[d] = clean.get(d, _ZERO) + c
+        _setattr(self, "_terms", {d: c for d, c in clean.items() if c})
+
+    @classmethod
+    def _squarefree(cls, terms: dict[int, Fraction]) -> "RadicalSum":
+        """The sum of terms whose radicands are squarefree already, as the
+        ring operations make them: none is factored again."""
+        rs = cls.__new__(cls)
+        _setattr(rs, "_terms", {d: c for d, c in terms.items() if c})
+        return rs
 
     @classmethod
     def of(cls, *values: Union[QuadExt, Fraction, int]) -> "RadicalSum":
         terms: dict[int, Fraction] = {}
         for v in values:
             if isinstance(v, QuadExt):
-                terms[1] = terms.get(1, Fraction(0)) + v.a
+                terms[1] = terms.get(1, _ZERO) + v.a
                 if v.b:
-                    terms[v.d] = terms.get(v.d, Fraction(0)) + v.b
+                    terms[v.d] = terms.get(v.d, _ZERO) + v.b
             else:
-                terms[1] = terms.get(1, Fraction(0)) + Fraction(v)
-        return cls(terms)
+                terms[1] = terms.get(1, _ZERO) + Fraction(v)
+        return cls._squarefree(terms)
 
     @property
     def terms(self) -> dict[int, Fraction]:
@@ -626,13 +629,13 @@ class RadicalSum(Immutable):
             return NotImplemented
         terms = dict(self._terms)
         for d, c in other._terms.items():
-            terms[d] = terms.get(d, Fraction(0)) + c
-        return RadicalSum(terms)
+            terms[d] = terms.get(d, _ZERO) + c
+        return RadicalSum._squarefree(terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RadicalSum":
-        return RadicalSum({d: -c for d, c in self._terms.items()})
+        return RadicalSum._squarefree({d: -c for d, c in self._terms.items()})
 
     def __sub__(self, other) -> "RadicalSum":
         other = _lift_rs(other)
@@ -650,15 +653,14 @@ class RadicalSum(Immutable):
         other = _lift_rs(other)
         if other is NotImplemented:
             return NotImplemented
+        # d1/g and d2/g are coprime and squarefree, so their product is too
         terms: dict[int, Fraction] = {}
-        from math import gcd as _gcd
-
         for d1, c1 in self._terms.items():
             for d2, c2 in other._terms.items():
-                g = _gcd(d1, d2)
+                g = gcd(d1, d2)
                 m = (d1 // g) * (d2 // g)
-                terms[m] = terms.get(m, Fraction(0)) + c1 * c2 * g
-        return RadicalSum(terms)
+                terms[m] = terms.get(m, _ZERO) + c1 * c2 * g
+        return RadicalSum._squarefree(terms)
 
     __rmul__ = __mul__
 
@@ -976,17 +978,21 @@ def write_pointset_csv(ps: PointSet, fileobj) -> None:
 
 
 class CsvRowError(ParseError):
-    """CSV rows that failed to parse, with 1-based line numbers."""
+    """CSV rows that failed to parse, with 1-based line numbers and the
+    reason the first of them failed."""
 
-    def __init__(self, lines: list[int]):
+    def __init__(self, lines: list[int], reason: ValueError):
         self.lines = lines
-        super().__init__(f"unparseable point rows at lines {lines}")
+        super().__init__(
+            f"unparseable point rows at lines {lines}; line {lines[0]}: {reason}"
+        )
 
 
 def read_pointset_csv(fileobj) -> PointSet:
     reader = csv.reader(fileobj)
     pts: list[PlanarPoint] = []
     bad: list[int] = []
+    reason = None
     for lineno, row in enumerate(reader, start=1):
         if not row or (lineno == 1 and row[0] == "x_exact"):
             continue
@@ -997,8 +1003,9 @@ def read_pointset_csv(fileobj) -> PointSet:
             y = parse_quadext(row[1])
             tag = row[4].strip() if len(row) >= 5 and row[4].strip() else None
             pts.append(PlanarPoint(x, y, tag))
-        except (ParseError, ValueError):
+        except ValueError as exc:
             bad.append(lineno)
+            reason = reason or exc
     if bad:
-        raise CsvRowError(bad)
+        raise CsvRowError(bad, reason)
     return PointSet(pts)

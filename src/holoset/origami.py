@@ -18,7 +18,7 @@ from functools import cached_property
 from math import gcd
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
-from .exact import Immutable, PointSet, as_fraction, point
+from .exact import Immutable, PointSet, as_positive, point
 
 Perm = tuple[int, ...]
 
@@ -359,9 +359,7 @@ def enumerate_holonomies(o: Origami, radius, marked: bool = False) -> PointSet:
     second-quadrant ones on the left-right mirror; the result is closed
     under negation and canonically ordered.
     """
-    R = as_fraction(radius)
-    if R <= 0:
-        raise ValueError("radius must be positive")
+    R = as_positive(radius, "radius")
     if not o.has_singularities(marked):
         warnings.warn(TORUS_NOTICE, stacklevel=2)
         return PointSet([])

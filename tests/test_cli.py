@@ -388,6 +388,20 @@ def test_plot_bad_rows_listed(tmp_path, capsys):
     assert "lines [2]" in capsys.readouterr().err
 
 
+def test_plot_bad_rows_name_the_first_reason(tmp_path, capsys):
+    csv_path = tmp_path / "pts.csv"
+    csv_path.write_text(
+        "x_exact,y_exact,x_float,y_float,tag\n"
+        "sqrt(2305843009213693951),0\n1/0,2\n",
+        encoding="utf-8",
+    )
+    assert run("plot", csv_path) == 2
+    assert capsys.readouterr().err == (
+        "error: unparseable point rows at lines [2, 3]; line 2: radicand of "
+        "'sqrt(2305843009213693951)' exceeds 1000000\n"
+    )
+
+
 def test_plot_rejects_zero_point_size(tmp_path, capsys):
     csv_path = tmp_path / "pts.csv"
     svg_path = tmp_path / "pts.svg"

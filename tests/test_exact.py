@@ -4,12 +4,17 @@ import io
 import random
 import re
 from fractions import Fraction
+from math import isqrt
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from holoset.close_pair import Cylinder, QuadIrrational, close_pair, inhom_approx
+from holoset.coprime import crt_hole, gcd_filtered_points
+from holoset.diagnostics import covering_radius
+from holoset.double_cover import closed_form, geometric_oracle
 from holoset.exact import (
     MAX_RADICAND,
     CsvRowError,
@@ -19,12 +24,16 @@ from holoset.exact import (
     PointSet,
     QuadExt,
     RadicalSum,
+    dot,
+    floor_surd,
     format_quadext,
     parse_quadext,
     point,
     read_pointset_csv,
+    squarefree_split,
     write_pointset_csv,
 )
+from holoset.origami import Origami, enumerate_holonomies
 
 SQUAREFREE = [1, 2, 3, 5, 6, 7, 10, 11, 13]
 
@@ -274,6 +283,39 @@ def test_floor():
     assert QuadExt(5, 3, 2).floor() == 9  # 5 + 4.2426...
 
 
+def test_floor_surd_matches_mpmath():
+    for D in (2, 3, 5, 8, 12, 9997):
+        s = isqrt(D)
+        for P in range(-25, 26, 7):
+            for Q in (-11, -3, -1, 1, 2, 13):
+                with mpmath.workdps(40):
+                    want = int(mpmath.floor((P + mpmath.sqrt(D)) / Q))
+                assert floor_surd(P, s, Q) == want, (P, D, Q)
+
+
+def test_floor_takes_integers_only(monkeypatch):
+    rng = random.Random(11)
+    cases = [
+        QuadExt(
+            Fraction(rng.randint(-(10**9), 10**9), rng.randint(1, 10**4)),
+            Fraction(rng.randint(-(10**9), 10**9), rng.randint(1, 10**4)),
+            rng.choice(SQUAREFREE),
+        )
+        for _ in range(300)
+    ]
+    want = []
+    for u in cases:
+        with mpmath.workdps(80):
+            want.append(int(mpmath.floor(mp_value(u, 80))))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("floor left integer arithmetic")
+
+    for name in ("to_float", "approx", "sign", "__init__"):
+        monkeypatch.setattr(QuadExt, name, refuse)
+    assert [u.floor() for u in cases] == want
+
+
 # -- RadicalSum ---------------------------------------------------------------
 
 
@@ -313,6 +355,23 @@ def test_radical_sum_sign_is_never_zero_for_a_nonzero_sum():
 def test_radical_sum_product_reduces_radicals():
     s = RadicalSum.of(QuadExt(0, 1, 2)) * RadicalSum.of(QuadExt(0, 1, 6))
     assert s == RadicalSum.of(QuadExt(0, 2, 3))
+
+
+def test_radical_sum_keeps_reducing_given_radicands():
+    assert RadicalSum({8: 1}).terms == {2: Fraction(2)}
+    assert RadicalSum({8: 1, 2: -2}).is_zero
+
+
+def test_radical_sum_products_are_not_factored_again():
+    # products of four primes near 10**6: factoring them by trial division
+    # would take a noticeable fraction of a second
+    squarefree_split.cache_clear()
+    u = (QuadExt(0, 1, 999983), QuadExt(0, 1, 999979))
+    v = (QuadExt(0, 1, 999961), QuadExt(0, 1, 999959))
+    misses = squarefree_split.cache_info().misses
+    s = dot(u, v)
+    assert squarefree_split.cache_info().misses == misses
+    assert s.terms == {999983 * 999961: 1, 999979 * 999959: 1}
 
 
 def test_radical_sum_matches_mpmath():
@@ -591,3 +650,31 @@ def test_csv_bad_rows_reported_with_line_numbers():
     with pytest.raises(CsvRowError) as ei:
         read_pointset_csv(io.StringIO(text))
     assert ei.value.lines == [3, 4]
+
+
+# -- positive exact arguments -----------------------------------------------------
+
+
+POSITIVE_ARGS = [
+    ("radius", lambda x: gcd_filtered_points(1, x)),
+    ("radius", lambda x: crt_hole(1, x)),
+    ("radius", lambda x: closed_form(None, x)),
+    ("radius", lambda x: geometric_oracle(None, x)),
+    ("radius", lambda x: enumerate_holonomies(Origami((1, 0, 2), (2, 1, 0)), x)),
+    ("r", lambda x: close_pair(
+        Cylinder((1, 0), (0, Fraction(1, 50)), Fraction(1, 50)),
+        Cylinder((QuadExt(0, 1, 2), 0), (0, Fraction(1, 50)), Fraction(1, 50)),
+        x,
+    )),
+    ("eps", lambda x: inhom_approx(QuadIrrational(0, 2, 1), Fraction(1, 3), x)),
+    ("resolution", lambda x: covering_radius(gcd_filtered_points(1, 2), (0, 0, 1, 1), x)),
+    ("width", lambda x: Cylinder((1, 0), (0, x), x)),
+]
+
+
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize("name,call", POSITIVE_ARGS)
+def test_nonpositive_arguments_are_refused(name, call, value):
+    with pytest.raises(ValueError) as ei:
+        call(value)
+    assert str(ei.value) == f"{name} must be positive"

@@ -1,14 +1,16 @@
 """Every float-bracket filter agrees with the exact path it short-cuts.
 
-The filters in ``QuadExt.to_float``/``compare``/``floor``,
+The filters in ``QuadExt.to_float``/``compare``,
 ``double_cover._norm_le``/``_strictly_between`` and
 ``diagnostics.growth_counts`` decide from certified float brackets and
-fall back to exact arithmetic near the boundary.  Each is compared here
-with its exact reference on random inputs and on inputs built to defeat
-a float: values 1e-30 apart, equal values built differently, offsets of
-1e30, values beyond the float range, values of subnormal size, values
-within 1e-20 of an integer, points 1e-25 off a segment, and radii within
-1e-30 of one- and two-radical norms.
+fall back to exact arithmetic near the boundary.  ``QuadExt.floor``
+takes no float: it is one integer square root, checked here against a
+second integer formula.  Each is compared with its exact reference on
+random inputs and on inputs built to defeat a float: values 1e-30
+apart, equal values built differently, offsets of 1e30, values beyond
+the float range, values of subnormal size, values within 1e-20 of an
+integer, points 1e-25 off a segment, and radii within 1e-30 of one- and
+two-radical norms.
 """
 
 from __future__ import annotations
