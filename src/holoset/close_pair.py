@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import ceil, gcd, isqrt, lcm
+from math import ceil, gcd, isqrt
 from typing import Iterator, NamedTuple, Optional, Union
 
 from .exact import (
@@ -100,15 +100,12 @@ class QuadIrrational(Immutable):
 
     @classmethod
     def from_quadext(cls, x: QuadExt) -> "QuadIrrational":
-        if x.b == 0:
+        if not x.B:
             raise ValueError("value is rational")
-        L = lcm(x.a.denominator, x.b.denominator)
-        A = x.a.numerator * (L // x.a.denominator)
-        C = x.b.numerator * (L // x.b.denominator)
-        D = C * C * x.d
-        if C > 0:
-            return cls(A, D, L, x.d)
-        return cls(-A, D, -L, x.d)
+        D = x.B * x.B * x.d
+        if x.B > 0:
+            return cls(x.A, D, x.q, x.d)
+        return cls(-x.A, D, -x.q, x.d)
 
     def to_quadext(self) -> QuadExt:
         C = isqrt(self.D // self.d)
@@ -301,7 +298,8 @@ def close_pair(ci: Cylinder, cj: Cylinder, r) -> ClosePairResult:
     lam_q = mu if mu.sign() > 0 else -mu
     if lam_q.is_rational:
         raise RatioRationalError("circumference ratio is rational")
-    lsq = dot(l, l).to_quadext()
+    ll = dot(l, l)
+    lsq = ll.to_quadext()
     a = dot(h, l).to_quadext() / lsq
     b = dot(hp, l).to_quadext() / lsq
     c = a - b
@@ -311,7 +309,7 @@ def close_pair(ci: Cylinder, cj: Cylinder, r) -> ClosePairResult:
         raise WidthPreconditionError(
             "perpendicular components differ by at least r/2"
         )
-    mid, err = lsq.approx(64)
+    mid, err = ll.approx(64)
     ell_hi = sqrt_bounds_frac(mid + err)[1]
     eps = r / (2 * ell_hi)
     m, mp = inhom_approx(QuadIrrational.from_quadext(lam_q), c, eps)

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import ceil, floor, gcd, isqrt, prod
-from typing import NamedTuple, Optional, Union
+from math import floor, gcd, isqrt, prod
+from typing import NamedTuple, Optional
 
-from .exact import PlanarPoint, PointSet, QuadExt, as_fraction, as_positive
+from .exact import PlanarPoint, PointSet, QuadExt, as_positive
 
 
 class CertificateError(ValueError):
@@ -54,30 +54,6 @@ def gcd_filtered_points(max_gcd: int, radius) -> PointSet:
 def coprime_points(radius) -> PointSet:
     """Primitive (visible) lattice points in the closed radius ball."""
     return gcd_filtered_points(1, radius)
-
-
-def gcd_filtered_window(max_gcd: int, window) -> PointSet:
-    """Integer points with gcd <= max_gcd inside a rectangle.
-
-    The rectangle is (x0, y0, x1, y1) with exact bounds; coordinates may
-    be arbitrarily large, which is what the hole inspection needs.
-    """
-    if max_gcd < 1:
-        raise ValueError("max_gcd must be >= 1")
-    x0, y0, x1, y1 = (as_fraction(v) for v in window)
-    if x1 < x0 or y1 < y0:
-        raise ValueError("window is empty")
-    xs = range(ceil(x0), floor(x1) + 1)
-    ys = range(ceil(y0), floor(y1) + 1)
-    lift_x = _integer_lift(xs)
-    lift_y = _integer_lift(ys)
-    pts = []
-    for a in xs:
-        x = lift_x[a]
-        for b in ys:
-            if (a or b) and gcd(abs(a), abs(b)) <= max_gcd:
-                pts.append(PlanarPoint(x, lift_y[b]))
-    return PointSet(pts)
 
 
 def _sieve_primes_to(limit: int) -> list[int]:

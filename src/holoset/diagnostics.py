@@ -19,8 +19,10 @@ from .exact import (
     PlanarPoint,
     PointSet,
     RadicalSum,
+    _surd_float,
     as_fraction,
     as_positive,
+    as_quad,
     format_quadext,
     norm_sq_bracket,
     sqrt_with_error,
@@ -57,25 +59,32 @@ class DeloneReport(NamedTuple):
 
 
 def _local_floats(points: Sequence[PlanarPoint], ox, oy) -> tuple[list, list, float]:
-    """Coordinates relative to (ox, oy), as floats, and the largest error
-    bound among them.
+    """Coordinates relative to (ox, oy), rational or in their axis's field,
+    as floats, and the largest error bound among them.
 
-    Translating exactly first keeps the floats accurate even when the
-    set sits at a huge offset from the origin.
+    Each is ``(p.x - ox).to_float()``, shifted exactly in integers with no
+    difference built, which keeps the floats accurate even when the set
+    sits at a huge offset from the origin.
     """
+    ox, oy = as_quad(ox), as_quad(oy)
     xs: list[float] = []
     ys: list[float] = []
     worst = 0.0
     for p in points:
         try:
-            fx, ex = (p.x - ox).to_float()
-            fy, ey = (p.y - oy).to_float()
+            fx, ex = _shifted_float(p.x, ox)
+            fy, ey = _shifted_float(p.y, oy)
         except OverflowError:
             raise FloatRangeError(p) from None
         xs.append(fx)
         ys.append(fy)
         worst = max(worst, ex, ey)
     return xs, ys, worst
+
+
+def _shifted_float(u, o) -> tuple[float, float]:  # (u - o).to_float()
+    q, r = u.q, o.q
+    return _surd_float(u.A * r - o.A * q, u.B * r - o.B * q, q * r, max(u.d, o.d))
 
 
 def _float_dist(ax, ay, bx, by):
@@ -233,12 +242,12 @@ def min_gap(ps: PointSet) -> MinGapResult:
     # settle the order exactly
     span = max(max(map(abs, xs)), max(map(abs, ys)), 1.0)
     margin = 4.0 * coord_err + 1e-12 * span + 1e-6 * best
-    # the first pair of each exact difference; a PointSet has one radical
-    # per axis, so the componentwise differences are the difference vector
+    # the first pair of each exact difference vector; a PointSet has one
+    # radical per axis, so each difference lies in its axis's field
     first: dict[tuple, tuple[int, int]] = {}
     for i, j in zip(*(a.tolist() for a in grid.pairs(best + margin)[:2])):
         p, q = points[i], points[j]
-        key = (p.x.a - q.x.a, p.x.b - q.x.b, p.y.a - q.y.a, p.y.b - q.y.b)
+        key = (p.x - q.x, p.y - q.y)
         first.setdefault(key, (i, j))
     best_exact: Optional[RadicalSum] = None
     witness: Optional[tuple[int, int]] = None

@@ -248,26 +248,3 @@ def geometric_oracle(shift: Optional[ShiftVector], radius) -> PointSet:
                         pts.append(PlanarPoint(hx, hy, tag))
     return PointSet(pts)
 
-
-def slope_class(p1: PlanarPoint, p2: PlanarPoint) -> str:
-    """Classify the slope of the segment p1 -> p2 exactly.
-
-    Returns "rational", "infinite" (vertical), or "irrational".
-    """
-    dx = p2.x - p1.x
-    dy = p2.y - p1.y
-    if not dx and not dy:
-        raise ValueError("points coincide; slope undefined")
-    if not dx:
-        return "infinite"
-    if not dy:
-        return "rational"
-    if dx.is_rational and dy.is_rational:
-        return "rational"
-    if dx.is_rational or dy.is_rational:
-        return "irrational"
-    if dx.d != dy.d:
-        return "irrational"
-    # same field: dy = r*dx with rational r iff the components are
-    # proportional as rational vectors
-    return "rational" if dy.a * dx.b == dy.b * dx.a else "irrational"

@@ -1,11 +1,11 @@
 """Exact arithmetic over real quadratic fields, planar points, and point sets.
 
-Values are represented as a + b*sqrt(d) with rational a, b and squarefree
-d >= 1.  All predicates (signs, comparisons, membership) are decided
-exactly; floating output is derived from dyadic approximations that carry
-explicit error bounds.  Sums mixing several radicals (as arise in squared
-distances between points whose coordinates live in different fields) are
-handled by :class:`RadicalSum`.
+Values a + b*sqrt(d) are stored as integers (A + B*sqrt(d))/q with
+squarefree d >= 1.  All predicates (signs, comparisons, membership) are
+decided exactly; floating output is derived from dyadic approximations
+that carry explicit error bounds.  Sums mixing several radicals (as arise
+in squared distances between points whose coordinates live in different
+fields) are handled by :class:`RadicalSum`.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ RationalLike = Union[int, Fraction]
 
 _ZERO = Fraction(0)
 
-# immutable classes set their slots through this, bound once
+# immutable classes are made and set their slots through these, bound once
+_new = object.__new__
 _setattr = object.__setattr__
 
 
@@ -120,13 +121,6 @@ def _isqrt_shifted(d: int, bits: int) -> int:
     return isqrt(d << (2 * bits))
 
 
-def sqrt_bounds(d: int, bits: int) -> tuple[Fraction, Fraction]:
-    """Dyadic midpoint and half-width bracketing sqrt(d) within 2**-(bits+1)."""
-    s = _isqrt_shifted(d, bits)
-    scale = 1 << (bits + 1)
-    return Fraction(2 * s + 1, scale), Fraction(1, scale)
-
-
 def sqrt_bounds_frac(x: Fraction, bits: int = 80) -> tuple[Fraction, Fraction]:
     """Rational lo <= sqrt(x) <= hi with hi - lo = 2**-bits."""
     if x < 0:
@@ -137,18 +131,30 @@ def sqrt_bounds_frac(x: Fraction, bits: int = 80) -> tuple[Fraction, Fraction]:
     return Fraction(r, 1 << bits), Fraction(r + 1, 1 << bits)
 
 
-def _radical_bounds(
-    d: int, c: Fraction, precision_bits: int
-) -> tuple[Fraction, Fraction]:
-    """Dyadic midpoint and rigorous error bound of c*sqrt(d), d > 1.
+def _radical_bits(num: int, den: int, precision_bits: int) -> int:
+    """Bits of sqrt(d) that put c*sqrt(d), c = num/den in lowest terms,
+    within 2**-(precision_bits+9): one extra per integer bit of |c|."""
+    return precision_bits + 8 + max(0, abs(num).bit_length() - den.bit_length() + 1)
 
-    sqrt(d) is bracketed with as many extra bits as |c| has integer bits,
-    so the error stays below 2**-(precision_bits+9) however large c is.
-    """
-    cabs = abs(c)
-    extra = max(0, cabs.numerator.bit_length() - cabs.denominator.bit_length() + 1)
-    m, e = sqrt_bounds(d, precision_bits + 8 + extra)
-    return c * m, cabs * e
+
+def _surd_float(A: int, B: int, q: int, d: int, bits: int = 53) -> tuple[float, float]:
+    """:meth:`QuadExt.to_float` of (A + B*sqrt(d))/q, q > 0, in any terms:
+    the midpoint a + b*(2s+1)/2**k of :meth:`RadicalSum.approx`, as one
+    int quotient, correctly rounded as ``float(Fraction)`` is whatever the
+    terms, and the bound of :func:`_float_with_bound` for the error
+    |b|/2**k.  Raises OverflowError beyond the float range."""
+    if not B:
+        value = A / q
+        n, m = value.as_integer_ratio()
+        if n * q == A * m:
+            return value, 0.0
+        return value, abs(value) * 2.0**-52 + 5e-324
+    g = gcd(B, q)
+    m = _radical_bits(B // g, q // g, bits)
+    s, k = _isqrt_shifted(d, m), m + 1
+    value = ((A << k) + B * (2 * s + 1)) / (q << k)
+    err = abs(B) / (q << k)
+    return value, err * (1 + 2.0**-50) + (abs(value) * 2.0**-52 + 5e-324)
 
 
 def _float_with_bound(mid: Fraction, err: Fraction) -> tuple[float, float]:
@@ -195,43 +201,34 @@ def floor_surd(P: int, s: int, Q: int) -> int:
 class QuadExt(Immutable):
     """Immutable element a + b*sqrt(d) of a real quadratic field.
 
-    d is kept squarefree (square parts are folded into b at construction)
-    and a pure rational is always stored with d = 1, b = 0, so equality is
-    componentwise.  Arithmetic requires compatible fields: rationals embed
+    Stored as integers (A + B*sqrt(d))/q, q > 0, gcd(A, B, q) = 1, d
+    squarefree (square parts fold into B at construction), and a rational
+    has B = 0 and d = 1, so equality is componentwise; a = A/q and b = B/q
+    are derived.  Arithmetic requires compatible fields: rationals embed
     into any Q(sqrt(d)), but mixing two distinct nontrivial radicals raises
     :class:`FieldMismatchError`.
     """
 
-    __slots__ = ("a", "b", "d")
+    __slots__ = ("A", "B", "q", "d", "_fb")
 
-    a: Fraction
-    b: Fraction
+    A: int
+    B: int
+    q: int
     d: int
 
     def __init__(self, a: RationalLike = 0, b: RationalLike = 0, d: int = 1):
-        # a Fraction is immutable, so one given is kept as it is
-        if type(a) is not Fraction:
+        if type(a) is not int and type(a) is not Fraction:
             a = Fraction(a)
-        if type(b) is not Fraction:
+        if type(b) is not int and type(b) is not Fraction:
             b = Fraction(b)
         if not isinstance(d, int):
             raise TypeError("radicand must be an integer")
         if d < 1:
             raise ValueError("radicand must be >= 1")
-        if d > 1:
-            f, m = squarefree_split(d)
-            if f != 1:
-                b *= f
-            d = m
-        if d == 1:
-            if b:
-                a += b
-            b = _ZERO
-        elif not b:
-            d = 1
-        _setattr(self, "a", a)
-        _setattr(self, "b", b)
-        _setattr(self, "d", d)
+        _quad(*_fold(a.numerator, a.denominator, b.numerator, b.denominator, d), self)
+
+    a = property(lambda self: Fraction(self.A, self.q))
+    b = property(lambda self: Fraction(self.B, self.q))
 
     # -- basic protocol ------------------------------------------------
 
@@ -245,15 +242,13 @@ class QuadExt(Immutable):
         other = _lift(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.a == other.a and self.b == other.b and self.d == other.d
+        return (self.A, self.B, self.q, self.d) == (other.A, other.B, other.q, other.d)
 
     def __hash__(self) -> int:
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.a, self.b, self.d))
+        return hash((self.A, self.B, self.q, self.d) if self.B else self.a)
 
     def __bool__(self) -> bool:
-        return self.a != 0 or self.b != 0
+        return self.A != 0 or self.B != 0
 
     # -- field plumbing ------------------------------------------------
 
@@ -268,31 +263,31 @@ class QuadExt(Immutable):
             f"cannot combine sqrt({self.d}) with sqrt({other.d})"
         )
 
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
+    is_rational = property(lambda self: not self.B)
 
     # -- ring operations -----------------------------------------------
 
     def __add__(self, other) -> "QuadExt":
         if type(other) is int:  # the common integer shift, without a lift
-            return QuadExt(self.a + other, self.b, self.d)
+            return _quad(self.A + other * self.q, self.B, self.q, self.d)
         other = _lift(other)
         if other is NotImplemented:
             return NotImplemented
         d = self._common_d(other)
-        return QuadExt(self.a + other.a, self.b + other.b, d)
+        q, r = self.q, other.q
+        return _quad(self.A * r + other.A * q, self.B * r + other.B * q, q * r, d)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "QuadExt":
         if type(other) is int:
-            return QuadExt(self.a - other, self.b, self.d)
+            return _quad(self.A - other * self.q, self.B, self.q, self.d)
         other = _lift(other)
         if other is NotImplemented:
             return NotImplemented
         d = self._common_d(other)
-        return QuadExt(self.a - other.a, self.b - other.b, d)
+        q, r = self.q, other.q
+        return _quad(self.A * r - other.A * q, self.B * r - other.B * q, q * r, d)
 
     def __rsub__(self, other) -> "QuadExt":
         other = _lift(other)
@@ -301,30 +296,24 @@ class QuadExt(Immutable):
         return other - self
 
     def __neg__(self) -> "QuadExt":
-        return QuadExt(-self.a, -self.b, self.d)
+        return _quad(-self.A, -self.B, self.q, self.d)
 
     def __mul__(self, other) -> "QuadExt":
         other = _lift(other)
         if other is NotImplemented:
             return NotImplemented
         d = self._common_d(other)
-        return QuadExt(
-            self.a * other.a + self.b * other.b * d,
-            self.a * other.b + self.b * other.a,
-            d,
-        )
+        A, B, C, D = self.A, self.B, other.A, other.B
+        return _quad(A * C + B * D * d, A * D + B * C, self.q * other.q, d)
 
     __rmul__ = __mul__
 
-    def norm(self) -> Fraction:
-        """Field norm a*a - b*b*d (rational)."""
-        return self.a * self.a - self.b * self.b * self.d
-
     def inverse(self) -> "QuadExt":
-        n = self.norm()
+        # q/(A + B*sqrt(d)) = q*(A - B*sqrt(d))/(A*A - B*B*d)
+        n = self.A * self.A - self.B * self.B * self.d
         if n == 0:
             raise ZeroDivisionError("division by zero quadratic element")
-        return QuadExt(self.a / n, -self.b / n, self.d)
+        return _quad(self.q * self.A, -self.q * self.B, n, self.d)
 
     def __truediv__(self, other) -> "QuadExt":
         other = _lift(other)
@@ -337,7 +326,7 @@ class QuadExt(Immutable):
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, 1}; never touches floating point."""
-        return _quad_sign(self.a, self.b, self.d)
+        return _quad_sign(self.A, self.B, self.d)
 
     def compare(self, other) -> int:
         """Exact three-way value comparison; works across distinct fields.
@@ -363,64 +352,68 @@ class QuadExt(Immutable):
         return self.compare(other) >= 0
 
     def floor(self) -> int:
-        """Exact integer floor, from integers alone: over q = da*db > 0 the
-        value is (A + B*sqrt(d))/q, and B*sqrt(d) is the signed root of
-        B*B*d, which is not a square (see :func:`floor_surd`)."""
-        na, da = self.a.numerator, self.a.denominator
-        if not self.b:
-            return na // da
-        nb, db = self.b.numerator, self.b.denominator
-        A, B, q = na * db, nb * da, da * db
+        """Exact integer floor, from integers alone: B*sqrt(d) is the signed
+        root of B*B*d, which is not a square (see :func:`floor_surd`)."""
+        A, B, q = self.A, self.B, self.q
+        if not B:
+            return A // q
         s = isqrt(B * B * self.d)
         return floor_surd(A, s, q) if B > 0 else floor_surd(-A, s, -q)
 
     # -- approximation ---------------------------------------------------
 
-    def approx(self, precision_bits: int = 53) -> tuple[Fraction, Fraction]:
-        """Dyadic midpoint and rigorous absolute error bound.
-
-        The bound satisfies err <= 2**(1 - precision_bits) * (1 + |value|)
-        regardless of the size of b.
-        """
-        if precision_bits < 24:
-            raise ValueError("precision_bits must be >= 24")
-        if self.b == 0:
-            return self.a, Fraction(0)
-        mid, err = _radical_bounds(self.d, self.b, precision_bits)
-        return self.a + mid, err
-
     def to_float(self, precision_bits: int = 53) -> tuple[float, float]:
         """Floating value with a conservative absolute error bound, so a
-        certified bracket [value - bound, value + bound] of the element.
-
-        The pair is ``_float_with_bound(*self.approx(precision_bits))``,
-        computed from integers: the midpoint a + b*(2s+1)/2**(bits+1) of
-        :meth:`approx`, with s = isqrt(d << 2*bits), as one numerator over
-        one denominator, whose int true division is correctly rounded as
-        ``float(Fraction)`` is.  ``compare`` decides from this bracket and
-        falls back to exact arithmetic where it cannot.  Raises
-        OverflowError beyond the float range.
+        certified bracket [value - bound, value + bound] of the element:
+        ``RadicalSum.of(self).to_float(precision_bits)``, from the integers
+        (see :func:`_surd_float`), the 53-bit one kept by an irrational.
+        ``compare`` decides from it where it can.  Raises OverflowError
+        beyond the float range.
         """
+        if precision_bits == 53 and self._fb is not None:
+            return self._fb
         if precision_bits < 24:
             raise ValueError("precision_bits must be >= 24")
-        na, da = self.a.numerator, self.a.denominator
-        if not self.b:
-            value = na / da
-            if value.as_integer_ratio() == (na, da):
-                return value, 0.0
-            return value, abs(value) * 2.0**-52 + 5e-324
-        nb, db = self.b.numerator, self.b.denominator
-        # the precision _radical_bounds takes for sqrt(d)
-        bits = precision_bits + 8 + max(0, abs(nb).bit_length() - db.bit_length() + 1)
-        s, k = _isqrt_shifted(self.d, bits), bits + 1
-        value = (((na * db) << k) + nb * (2 * s + 1) * da) / ((da * db) << k)
-        err = abs(nb) / (db << k)
-        return value, err * (1 + 2.0**-50) + (abs(value) * 2.0**-52 + 5e-324)
+        fb = _surd_float(self.A, self.B, self.q, self.d, precision_bits)
+        if precision_bits == 53 and self.B:
+            _setattr(self, "_fb", fb)
+        return fb
 
     def __float__(self) -> float:
-        if not self.b:  # to_float()[0] without building an error bound
-            return float(self.a)
+        if not self.B:  # to_float()[0] without building an error bound
+            return self.A / self.q
         return self.to_float()[0]
+
+
+def _fold(na: int, da: int, nb: int, db: int, d: int) -> tuple[int, int, int, int]:
+    """(A, B, q, d) of na/da + nb/db*sqrt(d), d >= 1, d made squarefree."""
+    if d > 1 and nb:
+        f, d = squarefree_split(d)
+        nb *= f
+    A, B = na * db, nb * da
+    if d == 1:
+        A, B = A + B, 0
+    return A, B, da * db, d
+
+
+def _quad(A: int, B: int, q: int, d: int, u: Optional[QuadExt] = None) -> QuadExt:
+    """(A + B*sqrt(d))/q in lowest terms, q != 0 and d squarefree (it is not
+    factored again), filled into u or into a new QuadExt."""
+    if u is None:
+        u = _new(QuadExt)
+    if not B:
+        d = 1
+    if q < 0:
+        A, B, q = -A, -B, -q
+    g = gcd(A, B, q)
+    if g != 1:
+        A, B, q = A // g, B // g, q // g
+    _setattr(u, "A", A)
+    _setattr(u, "B", B)
+    _setattr(u, "q", q)
+    _setattr(u, "d", d)
+    _setattr(u, "_fb", None)
+    return u
 
 
 def as_quad(v) -> QuadExt:
@@ -433,7 +426,7 @@ def _lift(x) -> Union[QuadExt, type(NotImplemented)]:
     if isinstance(x, QuadExt):
         return x
     if isinstance(x, (int, Fraction)):
-        return QuadExt(x)
+        return _quad(x.numerator, 0, x.denominator, 1)
     return NotImplemented
 
 
@@ -454,27 +447,21 @@ def _bracket_compare(u: QuadExt, bu, v: QuadExt, bv) -> int:
     all below the normal range), which the factor outweighs; so when the
     scaled sum is below |u - v|, the values differ with the sign of
     u - v.  Otherwise, and for a value beyond the float range, equal
-    components give 0 (QuadExt is canonical) and the exact sign of the
-    difference decides the rest.
+    components give 0 (QuadExt is canonical), and the sign of the
+    difference decides: from integers within one field.
     """
     if bu is not None and bv is not None:
         diff = bu[0] - bv[0]
         if (bu[1] + bv[1]) * (1 + 2.0**-50) < abs(diff) < inf:
             return 1 if diff > 0 else -1
-    if u is v or (u.a == v.a and u.b == v.b and u.d == v.d):
+    if u is v or (u.A == v.A and u.B == v.B and u.q == v.q and u.d == v.d):
         return 0
     if u.d == v.d or u.d == 1 or v.d == 1:
-        return (u - v).sign()
+        return _quad_sign(u.A * v.q - v.A * u.q, u.B * v.q - v.B * u.q, max(u.d, v.d))
     return RadicalSum.of(u, -v).sign()
 
 
 # -- serialization -----------------------------------------------------------
-
-
-def _format_fraction(x: Fraction) -> str:
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
 
 
 def format_quadext(u: QuadExt) -> str:
@@ -484,12 +471,11 @@ def format_quadext(u: QuadExt) -> str:
     prints in the full two-part grammar with signs folded into numerators,
     e.g. "-1/1+1/1*sqrt(2)".
     """
-    if u.b == 0:
-        return _format_fraction(u.a)
-    return (
-        f"{u.a.numerator}/{u.a.denominator}"
-        f"+{u.b.numerator}/{u.b.denominator}*sqrt({u.d})"
-    )
+    A, B, q = u.A, u.B, u.q
+    if not B:
+        return str(A) if q == 1 else f"{A}/{q}"
+    ga, gb = gcd(A, q), gcd(B, q)
+    return f"{A // ga}/{q // ga}+{B // gb}/{q // gb}*sqrt({u.d})"
 
 
 _RAT = r"[+-]?\d+(?:/\d+)?"
@@ -511,14 +497,17 @@ def _radicand(tok: str, text: str) -> int:
     n = int(tok)
     if n > MAX_RADICAND:
         raise ParseError(f"radicand of {text!r} exceeds {MAX_RADICAND}")
+    if n < 1:
+        raise ParseError(f"radicand of {text!r} must be >= 1")
     return n
 
 
-def _parse_rat(tok: str) -> Fraction:
-    try:
-        return Fraction(tok)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational {tok!r}") from exc
+def _parse_rat(tok: str) -> tuple[int, int]:
+    num, _, den = tok.partition("/")
+    den = int(den) if den else 1
+    if not den:
+        raise ParseError(f"bad rational {tok!r}")
+    return int(num), den
 
 
 def parse_quadext(text: str) -> QuadExt:
@@ -533,21 +522,22 @@ def parse_quadext(text: str) -> QuadExt:
         raise ParseError("empty exact-number token")
     m = _RE_RATIONAL.match(s)
     if m:
-        return QuadExt(_parse_rat(m.group(1)))
+        num, den = _parse_rat(m.group(1))
+        return _quad(num, 0, den, 1)
     m = _RE_RADICAL.match(s)
     if m:
-        coef = _parse_rat(m.group(1)) if m.group(1) else Fraction(1)
+        nb, db = _parse_rat(m.group(1)) if m.group(1) else (1, 1)
         if m.group(2) == "-":
-            coef = -coef
-        return QuadExt(0, coef, _radicand(m.group(3), text))
+            nb = -nb
+        return _quad(*_fold(0, 1, nb, db, _radicand(m.group(3), text)))
     m = _RE_FULL.match(s)
     if m:
-        a = _parse_rat(m.group(1))
+        na, da = _parse_rat(m.group(1))
         btok = m.group(3)
-        b = _parse_rat(btok[:-1]) if btok else Fraction(1)
+        nb, db = _parse_rat(btok[:-1]) if btok else (1, 1)
         if m.group(2) == "-":
-            b = -b
-        return QuadExt(a, b, _radicand(m.group(4), text))
+            nb = -nb
+        return _quad(*_fold(na, da, nb, db, _radicand(m.group(4), text)))
     raise ParseError(f"cannot parse exact number {text!r}")
 
 
@@ -588,7 +578,7 @@ class RadicalSum(Immutable):
         for v in values:
             if isinstance(v, QuadExt):
                 terms[1] = terms.get(1, _ZERO) + v.a
-                if v.b:
+                if v.B:
                     terms[v.d] = terms.get(v.d, _ZERO) + v.b
             else:
                 terms[1] = terms.get(1, _ZERO) + Fraction(v)
@@ -665,15 +655,19 @@ class RadicalSum(Immutable):
     __rmul__ = __mul__
 
     def approx(self, precision_bits: int = 53) -> tuple[Fraction, Fraction]:
-        """Dyadic midpoint plus rigorous error bound for the sum."""
-        mid = err = Fraction(0)
+        """Dyadic midpoint plus rigorous error bound for the sum: each
+        sqrt(d) lies within 2**-k of (2s+1)/2**k, s = isqrt(d << 2*m) and
+        k = m + 1, with m bits from :func:`_radical_bits`, so each term's
+        error stays below 2**-(precision_bits+9)."""
+        mid = err = _ZERO
         for d, c in self._terms.items():
             if d == 1:
                 mid += c
-            else:
-                m, e = _radical_bounds(d, c, precision_bits)
-                mid += m
-                err += e
+                continue
+            m = _radical_bits(c.numerator, c.denominator, precision_bits)
+            scale = 1 << (m + 1)
+            mid += c * Fraction(2 * _isqrt_shifted(d, m) + 1, scale)
+            err += abs(c) / scale
         return mid, err
 
     def _split(self) -> tuple[Fraction, list[tuple[int, Fraction]]]:
@@ -906,9 +900,9 @@ def _canonical_order(
     is an integer: ints and Fractions compare and test equal by value, so
     the keys sort lexicographically, and integer points sort as int pairs.
     The first point with a radical ends that pass.  Then a key is the
-    componentwise (a, b, d) of both coordinates, which is value equality
-    since QuadExt is canonical, and a comparison sort orders the points
-    from each coordinate's :func:`_bracket`, taken once here, with exact
+    componentwise (A, B, q, d) of both coordinates, which is value
+    equality since QuadExt is canonical, and a comparison sort orders the
+    points from each coordinate's :func:`_bracket`, read once here, with exact
     arithmetic only where two brackets overlap or overflow.
     """
     keys: list[tuple] = []
@@ -916,11 +910,10 @@ def _canonical_order(
         x, y = p.x, p.y
         if x.d != 1 or y.d != 1:
             break
-        a, b = x.a, y.a
         keys.append(
             (
-                a.numerator if a.denominator == 1 else a,
-                b.numerator if b.denominator == 1 else b,
+                x.A if x.q == 1 else Fraction(x.A, x.q),
+                y.A if y.q == 1 else Fraction(y.A, y.q),
             )
         )
     else:
@@ -931,7 +924,7 @@ def _canonical_order(
     d_y = _ambient_d({u.d for u in ys}, "y")
     bx = [_bracket(u) for u in xs]
     by = [_bracket(u) for u in ys]
-    keys = [(u.a, u.b, u.d, v.a, v.b, v.d) for u, v in zip(xs, ys)]
+    keys = [(u.A, u.B, u.q, u.d, v.A, v.B, v.q, v.d) for u, v in zip(xs, ys)]
 
     def cmp(i: int, j: int) -> int:
         return _bracket_compare(xs[i], bx[i], xs[j], bx[j]) or _bracket_compare(

@@ -2,10 +2,9 @@
 
 A surface is n unit squares (sheets 0..n-1); crossing the right edge of
 sheet i continues on sheet h[i], crossing the top edge continues on v[i].
-Vertex classes are the cycles of the corner-rotation permutation, saddle
-connections in a primitive direction come from iterating the per-period
-monodromy, and an independent square-by-square ray tracer validates the
-whole construction geometrically.
+Vertex classes are the cycles of the corner-rotation permutation, and
+saddle connections in a primitive direction come from iterating the
+per-period monodromy.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from typing import Iterable, Iterator, NamedTuple, Optional, Union
+from typing import Iterable, Iterator, NamedTuple
 
 from .exact import Immutable, PointSet, as_positive, point
 
@@ -196,11 +195,6 @@ class Origami:
         return marked or any(vc.singular for vc in self._classes)
 
 
-def vertex_classes(o: Origami) -> list[VertexClass]:
-    """Branch-point classes, ordered by their smallest sheet index."""
-    return list(o._classes)
-
-
 def crossing_word(direction: Direction) -> str:
     """Edge-crossing word of the (p, q) geodesic across one torus period.
 
@@ -279,61 +273,6 @@ def saddle_connections_in_direction(
             s += 1
         counts[s] += 1
     return counts
-
-
-def ray_trace_oracle(
-    o: Origami,
-    start_sheet: int,
-    direction: Direction,
-    s_max: int,
-    marked: bool = False,
-) -> Optional[int]:
-    """Trace the (p, q) ray from the lower-left corner of a sheet,
-    square by square, and return the period count at the first singular
-    corner (None if none is reached within s_max periods).
-
-    Independent of the crossing-word/monodromy path: edge crossings are
-    ordered by exact rational comparison as the walk proceeds.
-    """
-    if not 0 <= start_sheet < o.n:
-        raise ValueError("start sheet out of range")
-    p, q = direction.p, direction.q
-    if not direction.is_primitive:
-        raise ValueError(f"direction ({p}, {q}) is not primitive")
-    sing = _singular_flags(o, marked)
-    cur = start_sheet
-    if q == 0:
-        for k in range(1, s_max + 1):
-            cur = o.h[cur]
-            if sing[cur]:
-                return k
-        return None
-    if p == 0:
-        for k in range(1, s_max + 1):
-            cur = o.v[cur]
-            if sing[cur]:
-                return k
-        return None
-    a, b = 1, 1
-    while True:
-        ta, tb = a * q, b * p
-        if ta < tb:
-            cur = o.h[cur]
-            a += 1
-        elif tb < ta:
-            cur = o.v[cur]
-            b += 1
-        else:
-            # both edges cross at once: the ray passes a lattice corner,
-            # displaced infinitesimally below the diagonal (H before V).
-            cur = o.v[o.h[cur]]
-            k = a // p
-            a += 1
-            b += 1
-            if sing[cur]:
-                return k
-            if k >= s_max:
-                return None
 
 
 def primitive_directions(radius_sq: Fraction) -> Iterator[tuple[int, int]]:

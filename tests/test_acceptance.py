@@ -21,7 +21,6 @@ from holoset.close_pair import Cylinder, QuadIrrational, close_pair, inhom_appro
 from holoset.coprime import (
     coprime_points,
     crt_hole,
-    gcd_filtered_window,
     verify_hole,
 )
 from holoset.diagnostics import covering_radius, min_gap
@@ -33,10 +32,9 @@ from holoset.origami import (
     Origami,
     enumerate_holonomies,
     primitive_directions,
-    ray_trace_oracle,
     saddle_connections_in_direction,
-    vertex_classes,
 )
+from oracles import gcd_filtered_window, ray_trace_oracle, vertex_classes
 
 GOLDEN = QuadExt(Fraction(1, 2), Fraction(1, 2), 5)
 SQRT2 = QuadExt(0, 1, 2)

@@ -402,6 +402,18 @@ def test_plot_bad_rows_name_the_first_reason(tmp_path, capsys):
     )
 
 
+def test_plot_zero_radicand_names_the_token(tmp_path, capsys):
+    csv_path = tmp_path / "pts.csv"
+    csv_path.write_text(
+        "x_exact,y_exact,x_float,y_float,tag\nsqrt(0),1\n", encoding="utf-8"
+    )
+    assert run("plot", csv_path) == 2
+    assert capsys.readouterr().err == (
+        "error: unparseable point rows at lines [2]; line 2: radicand of "
+        "'sqrt(0)' must be >= 1\n"
+    )
+
+
 def test_plot_rejects_zero_point_size(tmp_path, capsys):
     csv_path = tmp_path / "pts.csv"
     svg_path = tmp_path / "pts.svg"

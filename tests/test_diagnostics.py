@@ -11,7 +11,6 @@ from holoset.coprime import (
     coprime_points,
     crt_hole,
     gcd_filtered_points,
-    gcd_filtered_window,
 )
 from holoset import diagnostics
 from holoset.diagnostics import (
@@ -26,6 +25,7 @@ from holoset.diagnostics import (
 )
 from holoset.double_cover import closed_form
 from holoset.exact import (
+    FloatRangeError,
     PlanarPoint,
     PointSet,
     QuadExt,
@@ -33,6 +33,7 @@ from holoset.exact import (
     point,
     sqrt_bounds_frac,
 )
+from oracles import gcd_filtered_window
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -385,6 +386,41 @@ def test_far_queries_match_a_scan_of_every_point():
         assert grid.nearest(qx, qy).tolist() == every.min(axis=1).tolist()
 
 
+def test_local_floats_are_those_of_the_exact_differences():
+    rng = random.Random(12)
+
+    def rat(digits):
+        return Fraction(rng.randint(-(10**digits), 10**digits), rng.randint(1, 99))
+
+    pts = [
+        point(QuadExt(rat(6), rat(3), 2), QuadExt(rat(6), rat(3), 3))
+        for _ in range(150)
+    ]
+    pts += [point(rat(4), QuadExt(rat(4), rat(2), 3)) for _ in range(30)]
+    pts += [point(p.x + 10**30, p.y - 10**30) for p in pts[:40]]
+    origins = [
+        (Fraction(-10), Fraction(7, 3)),  # a rational window corner
+        (pts[0].x, pts[0].y),  # a same-field irrational origin
+        (pts[-1].x, pts[-1].y),  # ... offset by 10**30
+        (Fraction(10**30 + 1, 7), 0),
+    ]
+    for ox, oy in origins:
+        xs, ys, worst = diagnostics._local_floats(pts, ox, oy)
+        want = [((p.x - ox).to_float(), (p.y - oy).to_float()) for p in pts]
+        assert [x.hex() for x in xs] == [wx[0].hex() for wx, _ in want]
+        assert [y.hex() for y in ys] == [wy[0].hex() for _, wy in want]
+        assert worst == max(e for wx, wy in want for e in (wx[1], wy[1]))
+
+
+def test_local_floats_beyond_the_float_range_raise():
+    far = point(QuadExt(10**400, 1, 2), 0)
+    with pytest.raises(FloatRangeError, match="beyond the float range"):
+        diagnostics._local_floats([point(1, 0), far], 0, 0)
+    # the shift brings it back: the difference is what must have a float
+    xs, _, _ = diagnostics._local_floats([far], QuadExt(10**400), 0)
+    assert xs == [QuadExt(0, 1, 2).to_float()[0]]
+
+
 def test_far_queries_do_not_touch_every_point(monkeypatch):
     import numpy as np
 
@@ -529,7 +565,7 @@ def test_growth_counts_norms_lost_to_cancellation():
     ps = PointSet(pts)
     radii = set()
     for pt in pts[-12:]:
-        mid, err = pt.x.approx(200)
+        mid, err = RadicalSum.of(pt.x).approx(200)
         radii |= {abs(mid) - err, abs(mid) + err}
     radii = sorted(radii)
     growth = growth_counts(ps, radii)

@@ -14,7 +14,6 @@ from holoset.double_cover import (
     _ball_row,
     closed_form,
     geometric_oracle,
-    slope_class,
 )
 from holoset.exact import (
     PlanarPoint,
@@ -24,6 +23,7 @@ from holoset.exact import (
     point,
     sqrt_bounds_frac,
 )
+from oracles import slope_class
 
 SQRT2M1 = QuadExt(-1, 1, 2)
 SQRT3M1 = QuadExt(-1, 1, 3)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import math
 import random
 import re
 from fractions import Fraction
@@ -17,6 +18,7 @@ from holoset.diagnostics import covering_radius
 from holoset.double_cover import closed_form, geometric_oracle
 from holoset.exact import (
     MAX_RADICAND,
+    _float_with_bound,
     CsvRowError,
     FieldMismatchError,
     ParseError,
@@ -145,7 +147,7 @@ def test_to_float_error_bound_contract():
             rng.choice(SQUAREFREE),
         )
         for bits in (24, 53, 113):
-            mid, err = u.approx(bits)
+            mid, err = RadicalSum.of(u).approx(bits)
             assert err <= Fraction(2) ** (1 - bits) * (1 + abs(mid))
             true = mp_value(u)
             assert abs(float(mid) - float(true)) <= float(err) + 1e-13 * (
@@ -176,7 +178,7 @@ def test_cancellation_keeps_error_bound_honest():
     # a nearly cancels b*sqrt(d); the bound must shrink with it.
     big = Fraction(10**6)
     u = QuadExt(-big * 14142135623730951 / 10**16, big, 2)
-    mid, err = u.approx(53)
+    mid, err = RadicalSum.of(u).approx(53)
     assert err <= Fraction(2) ** -52 * (1 + abs(mid)) * 2
 
 
@@ -311,9 +313,161 @@ def test_floor_takes_integers_only(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("floor left integer arithmetic")
 
-    for name in ("to_float", "approx", "sign", "__init__"):
+    for name in ("to_float", "sign", "__init__"):
         monkeypatch.setattr(QuadExt, name, refuse)
     assert [u.floor() for u in cases] == want
+
+
+# -- integer representation ------------------------------------------------------
+
+
+def ref_sign(*terms: tuple[Fraction, int]) -> int:
+    """Sign of the sum of c*sqrt(d) over the terms (c, d), d squarefree:
+    like terms merged, then rational brackets of each sqrt(d) refined until
+    the sum's bracket excludes 0, which happens unless every merged
+    coefficient is 0 (distinct squarefree radicals are independent)."""
+    merged: dict[int, Fraction] = {}
+    for c, d in terms:
+        merged[d] = merged.get(d, Fraction(0)) + c
+    if not any(merged.values()):
+        return 0
+    bits = 16
+    while True:
+        lo = hi = Fraction(0)
+        for d, c in merged.items():
+            r = isqrt(d << (2 * bits))
+            inexact = r * r != d << (2 * bits)
+            ends = [c * Fraction(r + k, 1 << bits) for k in (0, inexact)]
+            lo, hi = lo + min(ends), hi + max(ends)
+        if lo > 0 or hi < 0:
+            return 1 if lo > 0 else -1
+        bits *= 2
+
+
+def ref_floor(a: Fraction, b: Fraction, d: int) -> int:
+    """floor(a + b*sqrt(d)) by stepping an estimate with ref_sign."""
+    n = math.floor(a + b * Fraction(isqrt(d * 10**40), 10**20))
+    while ref_sign((a - n, 1), (b, d)) < 0:
+        n -= 1
+    while ref_sign((a - n - 1, 1), (b, d)) >= 0:
+        n += 1
+    return n
+
+
+def random_parts(rng: random.Random) -> tuple[Fraction, Fraction]:
+    def rat():
+        return Fraction(rng.randint(-(10**6), 10**6), rng.randint(1, 10**4))
+    return rat(), rat() if rng.random() < 0.85 else Fraction(0)
+
+
+def test_integers_are_canonical():
+    rng = random.Random(2)
+    for _ in range(500):
+        a, b = random_parts(rng)
+        d = rng.choice(SQUAREFREE)
+        u = QuadExt(a, b, d)
+        assert u.q > 0 and math.gcd(u.A, u.B, u.q) == 1
+        assert (u.a, u.b) == ((a, b) if d > 1 or b == 0 else (a + b, 0))
+        assert (u.B == 0) == (u.d == 1)
+        assert (u.A, u.B, u.q) == (
+            (u.a * u.q).numerator, (u.b * u.q).numerator, u.q
+        )
+
+
+def test_ring_operations_match_fraction_reference():
+    rng = random.Random(3)
+    for _ in range(400):
+        d = rng.choice(SQUAREFREE[1:])
+        (a1, b1), (a2, b2) = random_parts(rng), random_parts(rng)
+        u, v = QuadExt(a1, b1, d), QuadExt(a2, b2, d)
+        k = rng.randint(-50, 50)
+        for got, want in (
+            (u + v, (a1 + a2, b1 + b2)),
+            (u - v, (a1 - a2, b1 - b2)),
+            (u * v, (a1 * a2 + b1 * b2 * d, a1 * b2 + a2 * b1)),
+            (-u, (-a1, -b1)),
+            (u + k, (a1 + k, b1)),
+            (k - u, (k - a1, -b1)),
+            (u * a2, (a1 * a2, b1 * a2)),
+        ):
+            assert (got.a, got.b) == want
+            assert got.d == (d if want[1] else 1)
+        if a2 or b2:
+            n = a2 * a2 - b2 * b2 * d
+            w = u / v
+            assert (w.a, w.b) == (
+                (a1 * a2 - b1 * b2 * d) / n, (b1 * a2 - a1 * b2) / n
+            )
+
+
+def test_sign_compare_floor_match_fraction_reference():
+    rng = random.Random(4)
+    cases = []
+    for _ in range(400):
+        d, e = rng.choice(SQUAREFREE), rng.choice(SQUAREFREE)
+        (a1, b1), (a2, b2) = random_parts(rng), random_parts(rng)
+        cases.append(((a1, b1, d), (a2, b2, e)))
+    for g in (QuadExt(p, -q, 2) for p, q in ((99, 70), (577, 408), (3363, 2378))):
+        cases.append(((g.a, g.b, 2), (Fraction(0), Fraction(0), 1)))
+    cases += [(x, x) for x, _ in cases[:20]]
+    for (a1, b1, d), (a2, b2, e) in cases:
+        u, v = QuadExt(a1, b1, d), QuadExt(a2, b2, e)
+        assert u.sign() == ref_sign((u.a, 1), (u.b, u.d))
+        assert u.floor() == ref_floor(u.a, u.b, u.d)
+        want = ref_sign((u.a, 1), (u.b, u.d), (-v.a, 1), (-v.b, v.d))
+        assert u.compare(v) == want and v.compare(u) == -want
+        assert (u == v) == (want == 0)
+
+
+@pytest.mark.parametrize(
+    "r", [0, 1, -7, 2**70, -(3**50), Fraction(1, 3), Fraction(-22, 7),
+          Fraction(2**80 + 1, 2**64)],
+)
+def test_rationals_equal_and_hash_as_themselves(r):
+    u = QuadExt(r)
+    assert u == r and r == u
+    assert hash(u) == hash(r) == hash(Fraction(r))
+    assert u.is_rational and u.d == 1
+    assert {u: 1}[r] == 1 and {r: 1}[u] == 1
+
+
+def test_parse_non_reduced_tokens_match_fraction_parser():
+    for text, a, b, d in (
+        ("2/4+6/8*sqrt(12)", "2/4", "6/8", 12),
+        ("-10/20-9/6*sqrt(8)", "-10/20", "-9/6", 8),
+        ("4/6*sqrt(18)", "0", "4/6", 18),
+        ("-sqrt(50)", "0", "-1", 50),
+        ("3/9+0/5*sqrt(7)", "3/9", "0", 7),
+        ("1/2+3/2*sqrt(4)", "1/2", "3/2", 4),
+        ("-0/7", "-0/7", "0", 1),
+        ("14/-1", None, None, None),
+    ):
+        if a is None:
+            with pytest.raises(ParseError):
+                parse_quadext(text)
+            continue
+        u = parse_quadext(text)
+        assert u == QuadExt(Fraction(a), Fraction(b), d), text
+        assert parse_quadext(format_quadext(u)) == u
+
+
+def test_to_float_keeps_only_its_53_bit_irrational_bracket():
+    rng = random.Random(6)
+    for _ in range(200):
+        a, b = random_parts(rng)
+        u = QuadExt(a, b, rng.choice(SQUAREFREE))
+        fresh = _float_with_bound(*RadicalSum.of(u).approx(53))
+        assert u._fb is None
+        got = u.to_float()
+        assert [x.hex() for x in got] == [x.hex() for x in fresh]
+        # a rational takes A/q again each time; nothing is kept
+        assert (u._fb is got) == (not u.is_rational)
+        assert u.to_float() == got and float(u) == got[0]
+    u = QuadExt(1, 1, 2)
+    want = {bits: u.to_float(bits) for bits in (24, 53, 113)}
+    object.__setattr__(u, "_fb", (1.0, 0.5))  # the slot is what 53 bits read
+    assert u.to_float() == u.to_float(53) == (1.0, 0.5)
+    assert u.to_float(24) == want[24] and u.to_float(113) == want[113]
 
 
 # -- RadicalSum ---------------------------------------------------------------

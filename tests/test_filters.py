@@ -70,7 +70,7 @@ def random_quad(rng: random.Random, d: int, digits: int = 6) -> QuadExt:
 
 def near(u: QuadExt, delta: Fraction) -> QuadExt:
     """A rational within |delta| of u, on the side of delta's sign."""
-    mid, err = u.approx(200)
+    mid, err = RadicalSum.of(u).approx(200)
     return QuadExt(mid + (err if delta > 0 else -err) + delta)
 
 
@@ -86,7 +86,7 @@ def test_to_float_is_float_with_bound_of_approx(bits):
             random_rational(rng, 40) if rng.random() < 0.9 else 0,
             rng.choice((1, 2, 3, 5, 8, 12, 9973)),
         )
-        got, want = u.to_float(bits), _float_with_bound(*u.approx(bits))
+        got, want = u.to_float(bits), _float_with_bound(*RadicalSum.of(u).approx(bits))
         assert [x.hex() for x in got] == [x.hex() for x in want], (u, bits)
 
 
@@ -101,13 +101,13 @@ def test_to_float_extremes_match_float_with_bound():
     ]
     for u in values:
         for bits in (24, 53, 113):
-            got, want = u.to_float(bits), _float_with_bound(*u.approx(bits))
+            got, want = u.to_float(bits), _float_with_bound(*RadicalSum.of(u).approx(bits))
             assert [x.hex() for x in got] == [x.hex() for x in want], u
     for u in (QuadExt(HUGE), QuadExt(HUGE, 1, 2), QuadExt(0, HUGE, 3)):
         with pytest.raises(OverflowError):
             u.to_float()
         with pytest.raises(OverflowError):
-            _float_with_bound(*u.approx(53))
+            _float_with_bound(*RadicalSum.of(u).approx(53))
 
 
 # -- compare -------------------------------------------------------------------
@@ -187,7 +187,7 @@ def floor_cases() -> list[QuadExt]:
 def test_floor_agrees_with_exact_walk():
     for u in floor_cases():
         assert u.floor() == integer_floor(u), u
-    assert any(abs(g.approx(200)[0]) < Fraction(1, 10**20) for g in GAPS[2])
+    assert any(abs(RadicalSum.of(g).approx(200)[0]) < Fraction(1, 10**20) for g in GAPS[2])
 
 
 # -- _norm_le ------------------------------------------------------------------

@@ -20,10 +20,9 @@ from holoset.origami import (
     enumerate_holonomies,
     monodromy,
     primitive_directions,
-    ray_trace_oracle,
     saddle_connections_in_direction,
-    vertex_classes,
 )
+from oracles import ray_trace_oracle, vertex_classes
 
 # fixed corpus: torus, a 3-sheet and a 4-sheet cover, a 5-sheet stair,
 # a two-cylinder 6-sheet cover, and a commuting 4-sheet pair
