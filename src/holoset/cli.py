@@ -122,7 +122,7 @@ def _json_text(doc: dict) -> str:
 
 
 def _read_points(path: str) -> PointSet:
-    with open(path, "r", encoding="utf-8", newline="") as f:
+    with open(path, "r", encoding="utf-8-sig", newline="") as f:
         return read_pointset_csv(f)
 
 

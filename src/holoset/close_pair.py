@@ -347,7 +347,7 @@ def load_cylinder_pair(source) -> tuple[Cylinder, Cylinder]:
     widths are decimal or rational strings.
     """
     if isinstance(source, (str, bytes)):
-        with open(source, "r", encoding="utf-8") as fh:
+        with open(source, "r", encoding="utf-8-sig") as fh:
             try:
                 source = json.load(fh)
             except json.JSONDecodeError as exc:

@@ -87,165 +87,75 @@ def _shifted_float(u, o) -> tuple[float, float]:  # (u - o).to_float()
     return _surd_float(u.A * r - o.A * q, u.B * r - o.B * q, q * r, max(u.d, o.d))
 
 
-def _float_dist(ax, ay, bx, by):
-    """sqrt(dx*dx + dy*dy) for dx = ax - bx and dy = ay - by, x first and
-    without hypot, the distance a KD-tree query computes; inf where a
-    difference or a square overflows."""
-    import numpy as np
-    with np.errstate(over="ignore"):
-        dx, dy = ax - bx, ay - by
-        return np.sqrt(dx * dx + dy * dy)
-
-
-class _BucketGrid:
-    """Float points in square cells of side 2h, sorted x-major by cell,
-    with a start and a count per cell: about 3n cells at most for n points.
+def _cell_pairs(xs, ys, r: float = 0.0) -> tuple[list, float]:
+    """(dist, i, j) for the pairs i < j of points in neighbouring square
+    cells of side 2h, dist = sqrt(dx*dx + dy*dy); and `reach`, within
+    which that holds every pair: about one point per cell, and r within
+    reach.
 
     A float t lies in cell floor((t/2 - o)/h), halved so that no span of
     finite floats overflows.  With m cells on the longer axis, rounding
     moves t/2h by under 2.0001u(m + 2), u = 2^-53: floats two cells apart
-    lie over 2h(1 - 4.0002u(m + 2)) apart, and their _float_dist (error
-    under 3u) exceeds `reach` = 2h(1 - 2^-50(m + 4)) once h >= 2^-400 (no
-    square underflows).  So every point whose _float_dist from a point or
-    query is at most `reach` lies in the 3x3 cells around it.
+    lie over 2h(1 - 4.0002u(m + 2)) apart, and their distance (error under
+    3u) exceeds reach = 2h(1 - 2^-50(m + 4)) once h >= 2^-400 (no square
+    underflows).
     """
-
-    def __init__(self, xs, ys, r: float = 0.0):
-        import numpy as np
-        n = len(xs)
-        self.xs, self.ys = xs, ys = np.array(xs), np.array(ys)
-        self.ox, self.oy = xs.min() * 0.5, ys.min() * 0.5
-        wx, wy = xs.max() * 0.5 - self.ox, ys.max() * 0.5 - self.oy
-        # about one point per cell, at most n + 1 cells on an axis, and r
-        # within reach
-        dense = math.sqrt(wx) * math.sqrt(wy / n)
-        self.h = float(max(dense, max(wx, wy) / n, 2.0**-400, r * (0.5 + 2.0**-21)))
-        self.nx, self.ny = int(wx / self.h) + 1, int(wy / self.h) + 1
-        self.reach = 2 * self.h * (1 - 2.0**-50 * (max(self.nx, self.ny) + 4))
-        cx, cy = self._cells(xs, ys)
-        cell = cx * self.ny + cy
-        self.order = np.argsort(cell, kind="stable")
-        self.count = np.bincount(cell, minlength=self.nx * self.ny)
-        self.start = np.cumsum(self.count) - self.count
-        # about sqrt(cells) blocks of k x k cells, each with the bounding
-        # box of its points, for the queries far from every point
-        k = max(1, math.isqrt(math.isqrt(self.nx * self.ny)))
-        block = cx // k * (self.ny // k + 1) + cy // k
-        self.border = np.argsort(block, kind="stable")
-        self.bstart = np.flatnonzero(np.diff(block[self.border], prepend=-1))
-        self.bend = np.append(self.bstart[1:], n)
-        self.box = [
-            f.reduceat(t[self.border], self.bstart)
-            for t in (xs, ys)
-            for f in (np.minimum, np.maximum)
+    n = len(xs)
+    ox, oy = min(xs) * 0.5, min(ys) * 0.5
+    wx, wy = max(xs) * 0.5 - ox, max(ys) * 0.5 - oy
+    h = max(math.sqrt(wx) * math.sqrt(wy / n), max(wx, wy) / n, 2.0**-400,
+            r * (0.5 + 2.0**-21))
+    reach = 2 * h * (1 - 2.0**-50 * (int(max(wx, wy) / h) + 5))
+    cells: dict[tuple[int, int], list[int]] = {}
+    for k, (x, y) in enumerate(zip(xs, ys)):
+        key = (math.floor((x * 0.5 - ox) / h), math.floor((y * 0.5 - oy) / h))
+        cells.setdefault(key, []).append(k)
+    found = []
+    for (a, b), members in cells.items():
+        near = [
+            j for da in (-1, 0, 1) for db in (-1, 0, 1)
+            for j in cells.get((a + da, b + db), ())
         ]
-
-    def _cells(self, xs, ys):
-        """Cell coordinates, clamped to [-2, cells + 1]: beyond that, the
-        3x3 cells around one hold no point either way."""
-        import numpy as np
-        with np.errstate(over="ignore"):
-            return [
-                np.clip(np.floor((t * 0.5 - o) / self.h), -2, m + 1).astype(np.int64)
-                for t, o, m in ((xs, self.ox, self.nx), (ys, self.oy, self.ny))
-            ]
-
-    def _slots(self, qx, qy):
-        """Pairs (q, k) of query and point indices covering every point in
-        the 3x3 cells around each query, one vectorised pass per slot."""
-        import numpy as np
-        a, b = self._cells(qx, qy)
-        # the three cells of one column are consecutive in the order
-        lo, hi = np.maximum(b - 1, 0), np.minimum(b + 1, self.ny - 1)
-        for col in (a - 1, a, a + 1):
-            q = np.flatnonzero((col >= 0) & (col < self.nx) & (lo <= hi))
-            pos = self.start[col[q] * self.ny + lo[q]]
-            last = col[q] * self.ny + hi[q]
-            end = self.start[last] + self.count[last]
-            while (more := pos < end).any():
-                q, pos, end = q[more], pos[more], end[more]
-                yield q, self.order[pos]
-                pos += 1
-
-    def nearest(self, qx, qy):
-        """_float_dist from each query to the nearest point."""
-        import numpy as np
-        xs, ys = self.xs, self.ys
-        dist = np.full(len(qx), np.inf)
-        for q, k in self._slots(qx, qy):
-            dist[q] = np.minimum(dist[q], _float_dist(xs[k], ys[k], qx[q], qy[q]))
-        # a query whose nearest point in its 3x3 cells is not within reach
-        # searches the blocks
-        far = np.flatnonzero(~(dist < self.reach))
-        step = max(1, _QUERY_CHUNK // len(self.bstart))
-        for f in (far[c : c + step] for c in range(0, len(far), step)):
-            dist[f] = self._far(qx[f], qy[f])
-        return dist
-
-    def _far(self, qx, qy):
-        """_float_dist from each query to the nearest point, from the
-        blocks whose box lies within the distance to some block's first
-        point.  Rounding is monotone, so the float distance to a box is
-        at most that to each of its points: the nearest point's block is
-        always among them."""
-        import numpy as np
-        xs, ys, (x0, x1, y0, y1) = self.xs, self.ys, self.box
-        first = self.border[self.bstart]
-        cx, cy = qx[:, None], qy[:, None]
-        best = _float_dist(xs[first], ys[first], cx, cy).min(axis=1)
-        with np.errstate(over="ignore"):
-            gx = np.maximum(np.maximum(x0 - cx, cx - x1), 0.0)
-            gy = np.maximum(np.maximum(y0 - cy, cy - y1), 0.0)
-        q, b = np.nonzero(_float_dist(gx, gy, 0.0, 0.0) <= best[:, None])
-        pos, end = self.bstart[b], self.bend[b]
-        while (more := pos < end).any():
-            q, pos, end = q[more], pos[more], end[more]
-            k = self.border[pos]
-            np.minimum.at(best, q, _float_dist(xs[k], ys[k], qx[q], qy[q]))
-            pos += 1
-        return best
-
-    def pairs(self, r: float):
-        """Index pairs i < j, in order, of points whose _float_dist is at
-        most r, with those distances."""
-        if r > self.reach:
-            return _BucketGrid(self.xs, self.ys, r).pairs(r)
-        import numpy as np
-        xs, ys = self.xs, self.ys
-        i, j = (np.concatenate(c) for c in zip(*self._slots(xs, ys)))
-        dist = _float_dist(xs[i], ys[i], xs[j], ys[j])
-        keep = np.flatnonzero((i < j) & (dist <= r))
-        keep = keep[np.lexsort((j[keep], i[keep]))]
-        return i[keep], j[keep], dist[keep]
+        for i in members:
+            x, y = xs[i], ys[i]
+            for j in near:
+                if i < j:
+                    dx, dy = x - xs[j], y - ys[j]
+                    found.append((math.sqrt(dx * dx + dy * dy), i, j))
+    return found, reach
 
 
 def min_gap(ps: PointSet) -> MinGapResult:
     """Smallest pairwise distance and a witnessing pair.
 
-    A bucket grid over the float coordinates finds the smallest float
-    distance, the radius doubling until some pair lies within it; every
-    pair within a rounding margin of it is then re-ranked exactly, one
-    exact distance per difference vector, so the witness is the true
-    minimum with ties broken by canonical point order.
+    A scan of neighbouring cells finds the smallest float distance, the
+    cell side doubling until some pair lies within reach; every pair
+    within a rounding margin of it is then re-ranked exactly, one exact
+    distance per difference vector, so the witness is the true minimum
+    with ties broken by canonical point order.
     """
     points = ps.points
     if len(points) < 2:
         raise ValueError("need at least 2 points")
     xs, ys, coord_err = _local_floats(points, points[0].x, points[0].y)
-    grid = _BucketGrid(xs, ys)
-    r = grid.reach
-    while not (found := grid.pairs(r)[2]).size:
+    found, reach = _cell_pairs(xs, ys)
+    r = reach
+    # a pair within reach is a pair within r: the nearest pair is found
+    while not found or min(found)[0] > reach:
         r *= 2
-    best = float(found.min())
+        found, reach = _cell_pairs(xs, ys, r)
+    best = min(found)[0]
 
     # collect every pair whose float distance could tie the best, then
     # settle the order exactly
     span = max(max(map(abs, xs)), max(map(abs, ys)), 1.0)
     margin = 4.0 * coord_err + 1e-12 * span + 1e-6 * best
+    if best + margin > reach:
+        found = _cell_pairs(xs, ys, best + margin)[0]
     # the first pair of each exact difference vector; a PointSet has one
     # radical per axis, so each difference lies in its axis's field
     first: dict[tuple, tuple[int, int]] = {}
-    for i, j in zip(*(a.tolist() for a in grid.pairs(best + margin)[:2])):
+    for i, j in sorted((i, j) for d, i, j in found if d <= best + margin):
         p, q = points[i], points[j]
         key = (p.x - q.x, p.y - q.y)
         first.setdefault(key, (i, j))
@@ -271,17 +181,22 @@ def _as_window(window) -> Window:
     return x0, y0, x1, y1
 
 
-# The covering search queries one representative center per block of
-# _COVER_BLOCK x _COVER_BLOCK grid centers, then every center of the
-# blocks that could still hold the largest distance.
-_COVER_BLOCK = 8
-# Largest grid searched: a finer one raises ValueError before anything is
-# allocated, instead of exhausting memory (25x the 2001 x 2001 grid of a
-# 20 x 20 window at resolution 1/100).
+# Largest grid searched: a finer one raises ValueError before the search
+# starts.  The search keeps no array per center, so the cap bounds its
+# worst-case time, not its memory (25x the 2001 x 2001 grid of a 20 x 20
+# window at resolution 1/100).
 COVER_GRID_CAP = 10**8
-# centers per nearest-point query, and distances per chunk of its
-# all-points scan: the arrays of one query set the search's peak memory
-_QUERY_CHUNK = 50_000
+
+
+def _squares(cand, cx, cy) -> list:
+    """dx*dx + dy*dy from (cx, cy) to each candidate point: one query."""
+    return [(x - cx) * (x - cx) + (y - cy) * (y - cy) for x, y in cand]
+
+
+def _corner_dist(x, y, lx, hx, ly, hy) -> float:
+    """Float distance from (x, y) to the farthest corner of a box."""
+    dx, dy = max(x - lx, hx - x), max(y - ly, hy - y)
+    return math.sqrt(dx * dx + dy * dy)
 
 
 def covering_radius(
@@ -295,11 +210,21 @@ def covering_radius(
     first center in x-major order.  Grids of more than COVER_GRID_CAP
     centers raise ValueError.
 
-    The result is that of querying every center.  The distance to the
-    nearest point is 1-Lipschitz, so a block of centers whose
-    representative lies d from the set holds no center farther than d
-    plus the block's half-diagonal; only blocks whose bound reaches the
-    largest distance found so far are queried in full.
+    The result is that of querying every center, each distance
+    sqrt(dx*dx + dy*dy) in floats.  The search halves square blocks of
+    centers breadth first, from one power-of-two block over the grid;
+    each block queries one representative center against the candidate
+    points its parent handed down.  Every center of the block lies in
+    the box of its corner centers, so none lies farther from the set
+    than g, the distance from the representative's nearest point to the
+    box's farthest corner; rounding is monotone, so that holds for the
+    floats too.  A block is dropped once g falls below the largest
+    distance found so far, or equals it and the block holds no center
+    earlier in x-major order.  The nearest point of every center of the
+    block lies within g + f of the representative, f its distance to
+    the farthest corner: only those points go on to the block's four
+    children, with a 2^-40 relative margin for the rounding of
+    distances and 2^-500 for a square that underflows.
     """
     points = ps.points
     if not points:
@@ -313,50 +238,45 @@ def covering_radius(
             f"covering grid would have {nx * ny} centers (cap is "
             f"{COVER_GRID_CAP}); use a coarser resolution or a smaller window"
         )
-    # numpy loads here, not at module level, so subcommands that never
-    # search a covering radius start without it
-    import numpy as np
-
-    grid = _BucketGrid(*_local_floats(points, x0, y0)[:2])
+    xs, ys, _ = _local_floats(points, x0, y0)
     resf = float(res)
-
-    block = _COVER_BLOCK
-    nby = -(-ny // block)
-    n_blocks = -(-nx // block) * nby
-    offsets = np.arange(block)
-    # every center lies within block//2 steps of its block's
-    # representative on each axis
-    half_diag = (block // 2) * resf * 2.0**0.5
-    best = rep_best = -1.0
-    best_lin = 0
-    per_chunk = max(1, _QUERY_CHUNK // (block * block))
-    for k0 in range(0, n_blocks, _QUERY_CHUNK):
-        k = np.arange(k0, min(k0 + _QUERY_CHUNK, n_blocks))
-        ox, oy = (k // nby) * block, (k % nby) * block
-        rep_d = grid.nearest(
-            np.minimum(ox + block // 2, nx - 1) * resf,
-            np.minimum(oy + block // 2, ny - 1) * resf,
-        )
-        rep_best = max(rep_best, float(rep_d.max()))
-        # a block can hold the maximum only if its bound reaches every
-        # distance found so far; the margin covers float rounding of
-        # centers and distances
-        margin = 2.0**-40 * (rep_best + half_diag + max(nx, ny) * resf)
-        keep = rep_d + (half_diag + margin) >= max(rep_best, best)
-        ox, oy = ox[keep], oy[keep]
-        for c0 in range(0, len(ox), per_chunk):
-            ix = ox[c0 : c0 + per_chunk, None, None] + offsets[None, :, None]
-            iy = oy[c0 : c0 + per_chunk, None, None] + offsets[None, None, :]
-            ix, iy = np.broadcast_arrays(ix, iy)
-            inside = (ix < nx) & (iy < ny)
-            ix, iy = ix[inside], iy[inside]
-            dists = grid.nearest(ix * resf, iy * resf)
-            top = float(dists.max())
-            if top >= best:
-                # ties go to the first center in x-major order
-                lin = int((ix * ny + iy)[dists == top].min())
-                if top > best or lin < best_lin:
-                    best, best_lin = top, lin
+    # (distance, -index) of the farthest center so far: ties go to the
+    # first in x-major order, and a block whose bound and first index
+    # cannot beat it is dropped
+    top = (-1.0, 0)
+    side = 1 << (max(nx, ny) - 1).bit_length()
+    # blocks of side `side` as (corner, bound of the parent, candidates)
+    level = [(0, 0, math.inf, list(zip(xs, ys)))]
+    while level:
+        children = []
+        half = side // 2
+        for ax, ay, cap, cand in level:
+            first = ax * ny + ay
+            if (cap, -first) <= top:
+                continue
+            bx, by = min(ax + side, nx) - 1, min(ay + side, ny) - 1
+            rx, ry = (ax + bx) // 2, (ay + by) // 2
+            cx, cy = rx * resf, ry * resf
+            sq = _squares(cand, cx, cy)
+            m = min(sq)
+            top = max(top, (math.sqrt(m), -(rx * ny + ry)))
+            if ax == bx and ay == by:
+                continue
+            # every center of the block lies in the box of its corners
+            x, y = cand[sq.index(m)]
+            lx, hx, ly, hy = ax * resf, bx * resf, ay * resf, by * resf
+            bound = _corner_dist(x, y, lx, hx, ly, hy)
+            if (bound, -first) <= top:
+                continue
+            r = bound + _corner_dist(cx, cy, lx, hx, ly, hy)
+            r += 2.0**-40 * r + 2.0**-500
+            r2 = r * r
+            near = [p for p, s in zip(cand, sq) if s <= r2]
+            for kx in range(ax, bx + 1, half):
+                for ky in range(ay, by + 1, half):
+                    children.append((kx, ky, bound, near))
+        level, side = children, half
+    best, best_lin = top[0], -top[1]
     cx = x0 + (best_lin // ny) * res
     cy = y0 + (best_lin % ny) * res
     return CoveringResult(best, (float(cx), float(cy)), (cx, cy))

@@ -131,7 +131,7 @@ class Origami:
 
     @classmethod
     def from_path(cls, path) -> "Origami":
-        with open(path, "r", encoding="utf-8") as f:
+        with open(path, "r", encoding="utf-8-sig") as f:
             try:
                 data = json.load(f)
             except json.JSONDecodeError as exc:

@@ -188,12 +188,9 @@ def brute_force_covering(ps, window, resolution):
     return CoveringResult(float(dists[k]), (float(cx), float(cy)), (cx, cy))
 
 
-@pytest.mark.parametrize("chunk", [None, 64])
-def test_covering_matches_brute_force_with_ties(monkeypatch, chunk):
-    # the unit lattice: every half-integer center of the window ties;
-    # with one block per query chunk, the ties span several chunks
-    if chunk:
-        monkeypatch.setattr(diagnostics, "_QUERY_CHUNK", chunk)
+def test_covering_matches_brute_force_with_ties():
+    # the unit lattice: every half-integer center of the window ties, in
+    # blocks of every level of the search
     ps = gcd_filtered_points(10 ** 9, 10)
     window, res = (1, 1, 3, 3), Fraction(1, 100)
     got = covering_radius(ps, window, res)
@@ -232,10 +229,7 @@ def test_covering_matches_brute_force_on_ragged_grids(window, res):
     )
 
 
-@pytest.mark.parametrize("chunk", [None, 64])
-def test_covering_matches_brute_force_on_crt_hole(monkeypatch, chunk):
-    if chunk:
-        monkeypatch.setattr(diagnostics, "_QUERY_CHUNK", chunk)
+def test_covering_matches_brute_force_on_crt_hole():
     cert = crt_hole(1, 1)
     cx, cy = cert.center
     ps = gcd_filtered_window(1, (cx - 6, cy - 6, cx + 6, cy + 6))
@@ -281,9 +275,10 @@ def _ragged_lattice():
 
 
 OFF = 10**30
-# point sets the bucket grid must answer exactly as the KD-tree and the
-# pair scan do, with windows over, beside and far outside each set, each
-# searched at resolutions 1/4 and 1/10 unless it gives its own
+# point sets the covering search and the min-gap cells must answer
+# exactly as the KD-tree and the pair scan do, with windows over, beside
+# and far outside each set, each searched at resolutions 1/4 and 1/10
+# unless it gives its own
 GRID_CASES = {
     "single point": (PointSet([point(3, -2)]), [(0, -4, 4, 4)]),
     "two points 1e9 apart": (
@@ -349,15 +344,9 @@ def test_bucket_grid_matches_kd_tree_and_pair_scan(case):
         assert min_gap(ps).pair == brute_force_gap_pair(ps)
 
 
-@pytest.mark.parametrize("chunk", [None, 64])
-def test_covering_matches_brute_force_on_windows_outside_the_set(
-    monkeypatch, chunk
-):
-    # the centers lie farther than the 3x3 cells around them from every
-    # point, wholly or in the corners of a window wider than the set; with
-    # small chunks their queries span several chunks
-    if chunk:
-        monkeypatch.setattr(diagnostics, "_QUERY_CHUNK", chunk)
+def test_covering_matches_brute_force_on_windows_outside_the_set():
+    # the centers lie far from every point, wholly or in the corners of a
+    # window wider than the set
     ps = closed_form(None, 8)
     res = Fraction(1, 4)
     for window in [(12, 12, 16, 15), (-30, -2, -26, 2), (-12, -12, 12, 12)]:
@@ -366,24 +355,50 @@ def test_covering_matches_brute_force_on_windows_outside_the_set(
         ), window
 
 
-def test_far_queries_match_a_scan_of_every_point():
-    # queries on every side of random sets, from just beyond the 3x3
-    # cells to far away: each block bound must hold on all four sides
-    import numpy as np
+def scan_covering(ps, window, resolution):
+    """Every grid center against every point, in floats; the first
+    maximum in x-major order."""
+    x0, y0, x1, y1 = (Fraction(v) for v in window)
+    res = Fraction(resolution)
+    coords = [(float(p.x - x0), float(p.y - y0)) for p in ps.points]
+    nx = int((x1 - x0) / res) + 1
+    ny = int((y1 - y0) / res) + 1
+    resf = float(res)
+    best = k_best = None
+    for k in range(nx * ny):
+        cx, cy = (k // ny) * resf, (k % ny) * resf
+        d = math.sqrt(min((x - cx) * (x - cx) + (y - cy) * (y - cy) for x, y in coords))
+        if best is None or d > best:
+            best, k_best = d, k
+    cx = x0 + (k_best // ny) * res
+    cy = y0 + (k_best % ny) * res
+    return CoveringResult(best, (float(cx), float(cy)), (cx, cy))
 
-    rng = np.random.default_rng(5)
-    for xs, ys in [
-        rng.normal(size=(2, 400)),
-        rng.uniform(-3, 5, size=(2, 900)) * np.array([[1.0], [0.1]]),
-        (rng.integers(-20, 20, 300).astype(float), rng.normal(size=300) * 1e-3),
-    ]:
-        grid = diagnostics._BucketGrid(xs.tolist(), ys.tolist())
-        angle = rng.uniform(0, 2 * np.pi, 3000)
-        dist = np.exp(rng.uniform(0, 4, 3000)) * grid.reach
-        qx = xs.mean() + (np.ptp(xs) / 2 + dist) * np.cos(angle)
-        qy = ys.mean() + (np.ptp(ys) / 2 + dist) * np.sin(angle)
-        every = diagnostics._float_dist(xs, ys, qx[:, None], qy[:, None])
-        assert grid.nearest(qx, qy).tolist() == every.min(axis=1).tolist()
+
+def test_far_queries_match_a_scan_of_every_point():
+    # windows on every side of random sets, from just beside them to far
+    # away: each block's bound and candidates must hold on all four sides
+    rng = random.Random(5)
+    sets = [
+        [(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(400)],
+        [(rng.uniform(-3, 5), rng.uniform(-0.3, 0.5)) for _ in range(900)],
+        [(rng.randint(-20, 20), rng.gauss(0, 1e-3)) for _ in range(300)],
+    ]
+    for coords in sets:
+        ps = PointSet(point(Fraction(x), Fraction(y)) for x, y in coords)
+        xs, ys = zip(*coords)
+        mx, my = (min(xs) + max(xs)) / 2, (min(ys) + max(ys)) / 2
+        for _ in range(12):
+            angle = rng.uniform(0, 2 * math.pi)
+            dist = math.exp(rng.uniform(-3, 4))
+            wx = mx + ((max(xs) - min(xs)) / 2 + dist) * math.cos(angle)
+            wy = my + ((max(ys) - min(ys)) / 2 + dist) * math.sin(angle)
+            window = (Fraction(wx), Fraction(wy), Fraction(wx) + Fraction(1, 2),
+                      Fraction(wy) + Fraction(1, 3))
+            res = Fraction(1, 16)
+            assert covering_radius(ps, window, res) == scan_covering(
+                ps, window, res
+            ), window
 
 
 def test_local_floats_are_those_of_the_exact_differences():
@@ -421,28 +436,53 @@ def test_local_floats_beyond_the_float_range_raise():
     assert xs == [QuadExt(0, 1, 2).to_float()[0]]
 
 
+def counted_queries(monkeypatch) -> list:
+    """The candidate count of each query the covering search makes."""
+    queries = []
+    squares = diagnostics._squares
+
+    def counting(cand, cx, cy):
+        queries.append(len(cand))
+        return squares(cand, cx, cy)
+
+    monkeypatch.setattr(diagnostics, "_squares", counting)
+    return queries
+
+
 def test_far_queries_do_not_touch_every_point(monkeypatch):
-    import numpy as np
-
     ps = closed_form(None, 10)
-    xs, ys, _ = diagnostics._local_floats(ps.points, 0, 0)
-    grid = diagnostics._BucketGrid(xs, ys)
-    float_dist = diagnostics._float_dist
-    evaluated = []
+    queries = counted_queries(monkeypatch)
+    res = Fraction(1, 8)
+    for window in [(40, 25, 41, 26), (-4, -61, -3, -60), (15, 0, 16, 1)]:
+        queries.clear()
+        got = covering_radius(ps, window, res)
+        assert got == brute_force_covering(ps, window, res), window
+        # the root block scans every point; the blocks below it together
+        # measure fewer distances than one more scan would
+        assert queries[0] == len(ps)
+        assert sum(queries[1:]) < len(ps), window
 
-    def counting(*args):
-        out = float_dist(*args)
-        evaluated.append(out.size)
-        return out
 
-    monkeypatch.setattr(diagnostics, "_float_dist", counting)
-    qx, qy = np.array([40.0, -3.0, 15.0]), np.array([25.0, -60.0, 0.5])
-    got = grid.nearest(qx, qy)
-    every = float_dist(np.array(xs), np.array(ys), qx[:, None], qy[:, None])
-    assert got.tolist() == every.min(axis=1).tolist()
-    # distances to each block's first point, a bound per block and the
-    # points of the blocks near each query, against 3 * len(xs) for a scan
-    assert sum(evaluated) < len(xs)
+def test_covering_search_queries_few_centers(monkeypatch):
+    ps = closed_form(None, 16)
+    queries = counted_queries(monkeypatch)
+    # of the 2001 x 2001 = 4,004,001 grid centers of each window
+    for window, cap in [((-10, -10, 10, 10), 100_000), ((30, 30, 50, 50), 1_000)]:
+        queries.clear()
+        covering_radius(ps, window, Fraction(1, 100))
+        assert len(queries) < cap, window
+
+
+def test_covering_ties_at_every_center_stay_cheap(monkeypatch):
+    # from 1e30 away every center's float distance is the same: the first
+    # center wins, and the blocks after it are dropped unqueried
+    ps = PointSet([point(10**30, 0), point(0, 10**30)])
+    queries = counted_queries(monkeypatch)
+    window, res = (0, 0, 1, 1), Fraction(1, 100)
+    got = covering_radius(ps, window, res)
+    assert got == brute_force_covering(ps, window, res)
+    assert got.center_exact == (0, 0)
+    assert len(queries) < 1_000  # of 10,201 centers
 
 
 def test_bucket_grid_rounding_margin():
