@@ -188,11 +188,23 @@ def brute_force_covering(ps, window, resolution):
     return CoveringResult(float(dists[k]), (float(cx), float(cy)), (cx, cy))
 
 
-def test_covering_matches_brute_force_with_ties():
+def padded(window, res, pad):
+    """The window grown by `pad` grid steps on its upper x and y sides,
+    or as given when pad is None: a grid of another size, whose
+    power-of-two blocks of the covering search split it elsewhere."""
+    if pad is None:
+        return window
+    x0, y0, x1, y1 = window
+    return x0, y0, x1 + pad * res, y1 + pad * res
+
+
+@pytest.mark.parametrize("pad", [None, 64])
+def test_covering_matches_brute_force_with_ties(pad):
     # the unit lattice: every half-integer center of the window ties, in
     # blocks of every level of the search
     ps = gcd_filtered_points(10 ** 9, 10)
-    window, res = (1, 1, 3, 3), Fraction(1, 100)
+    res = Fraction(1, 100)
+    window = padded((1, 1, 3, 3), res, pad)
     got = covering_radius(ps, window, res)
     assert got == brute_force_covering(ps, window, res)
     assert got.center_exact == (Fraction(3, 2), Fraction(3, 2))
@@ -229,11 +241,13 @@ def test_covering_matches_brute_force_on_ragged_grids(window, res):
     )
 
 
-def test_covering_matches_brute_force_on_crt_hole():
+@pytest.mark.parametrize("pad", [None, 64])
+def test_covering_matches_brute_force_on_crt_hole(pad):
     cert = crt_hole(1, 1)
     cx, cy = cert.center
     ps = gcd_filtered_window(1, (cx - 6, cy - 6, cx + 6, cy + 6))
-    window, res = (cx - 1, cy - 1, cx + 1, cy + 1), Fraction(1, 40)
+    res = Fraction(1, 40)
+    window = padded((cx - 1, cy - 1, cx + 1, cy + 1), res, pad)
     assert covering_radius(ps, window, res) == brute_force_covering(
         ps, window, res
     )
@@ -344,12 +358,14 @@ def test_bucket_grid_matches_kd_tree_and_pair_scan(case):
         assert min_gap(ps).pair == brute_force_gap_pair(ps)
 
 
-def test_covering_matches_brute_force_on_windows_outside_the_set():
+@pytest.mark.parametrize("pad", [None, 64])
+def test_covering_matches_brute_force_on_windows_outside_the_set(pad):
     # the centers lie far from every point, wholly or in the corners of a
     # window wider than the set
     ps = closed_form(None, 8)
     res = Fraction(1, 4)
     for window in [(12, 12, 16, 15), (-30, -2, -26, 2), (-12, -12, 12, 12)]:
+        window = padded(window, res, pad)
         assert covering_radius(ps, window, res) == brute_force_covering(
             ps, window, res
         ), window
