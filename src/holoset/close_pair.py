@@ -45,7 +45,7 @@ class IncompleteExpansionError(RuntimeError):
 
 
 class ApproximationSearchError(RuntimeError):
-    """inhom_approx found no solution within its search budget."""
+    """inhom_approx's exact check of its greedy solution failed."""
 
 
 class VerificationError(RuntimeError):
@@ -197,9 +197,11 @@ def inhom_approx(
 ) -> tuple[int, int]:
     """Integers (m, mp) with |c + m - mp*lambda| < eps, verified exactly.
 
-    The search walks convergents p/q of lambda until q >= 2/eps, then
-    takes the greedy multiple of the residue q*lambda - p nearest to c.
-    A bounded brute-force scan over |mp| <= 2q backs the greedy step up.
+    Takes the first convergent p/q of lambda with q >= 2/eps and the
+    multiple j of delta = q*lambda - p nearest to c: |delta| < 1/q <= eps/2,
+    so the residual c + j*p - j*q*lambda = c - j*delta is at most
+    |delta|/2 < eps/4.  An exact check confirms it (else
+    ApproximationSearchError); max_terms bounds the expansion of lambda.
     """
     eps = as_positive(eps, "eps")
     lam_q = lam.to_quadext()
@@ -210,10 +212,8 @@ def inhom_approx(
         )
     if not c_q:
         return 0, 0
-    eps_sq = eps * eps
     cf = cf_expand(lam, max_terms)
     target = ceil(2 / eps)
-    p = q = None
     for p, q in convergents(cf):
         if q >= target:
             break
@@ -221,16 +221,11 @@ def inhom_approx(
     j = _round_half_up(c_q / delta)
     m, mp = j * p, j * q
     res = c_q + m - lam_q * mp
-    if (res * res).compare(eps_sq) < 0:
-        return m, mp
-    for mp in range(-2 * q, 2 * q + 1):
-        m = _round_half_up(lam_q * mp - c_q)
-        res = c_q + m - lam_q * mp
-        if (res * res).compare(eps_sq) < 0:
-            return m, mp
-    raise ApproximationSearchError(
-        "approximation search failed; eps too small for budget"
-    )
+    if (res * res).compare(eps * eps) >= 0:
+        raise ApproximationSearchError(
+            "approximation check failed: |c + m - mp*lambda| >= eps"
+        )
+    return m, mp
 
 
 Vec = tuple[QuadExt, QuadExt]

@@ -142,7 +142,8 @@ def _surd_float(A: int, B: int, q: int, d: int, bits: int = 53) -> tuple[float, 
     the midpoint a + b*(2s+1)/2**k of :meth:`RadicalSum.approx`, as one
     int quotient, correctly rounded as ``float(Fraction)`` is whatever the
     terms, and the bound of :func:`_float_with_bound` for the error
-    |b|/2**k.  Raises OverflowError beyond the float range."""
+    |b|/2**k.  Raises OverflowError beyond the float range.  It feeds
+    reported floats and the float filters; no comparison reads it."""
     if not B:
         value = A / q
         n, m = value.as_integer_ratio()
@@ -168,13 +169,12 @@ def _float_with_bound(mid: Fraction, err: Fraction) -> tuple[float, float]:
     return value, float(err) * (1 + 2.0 ** -50) + conv
 
 
-def _quad_sign(a: Fraction, b: Fraction, d: int) -> int:
+def _quad_sign(a: RationalLike, b: RationalLike, d: int) -> int:
     """Exact sign of a + b*sqrt(d) by comparing a*a against b*b*d."""
-    sa = (a > 0) - (a < 0)
-    sb = (b > 0) - (b < 0)
-    if sb == 0 or sa == sb:
-        return sa
-    if sa == 0:
+    if not b:
+        return (a > 0) - (a < 0)
+    sb = 1 if b > 0 else -1
+    if not a or (a > 0) == (b > 0):
         return sb
     # Opposite signs: |a| versus |b|*sqrt(d), squared.
     lhs = a * a
@@ -182,7 +182,7 @@ def _quad_sign(a: Fraction, b: Fraction, d: int) -> int:
     if lhs == rhs:
         # Impossible for d > 1 squarefree with a, b nonzero; kept for safety.
         return 0
-    return sa if lhs > rhs else sb
+    return sb if rhs > lhs else -sb
 
 
 def floor_surd(P: int, s: int, Q: int) -> int:
@@ -319,7 +319,6 @@ class QuadExt(Immutable):
         other = _lift(other)
         if other is NotImplemented:
             return NotImplemented
-        self._common_d(other)  # raises on genuine mismatch
         return self * other.inverse()
 
     # -- exact predicates ------------------------------------------------
@@ -329,15 +328,12 @@ class QuadExt(Immutable):
         return _quad_sign(self.A, self.B, self.d)
 
     def compare(self, other) -> int:
-        """Exact three-way value comparison; works across distinct fields.
-
-        Decided from the two :meth:`to_float` brackets where they are
-        disjoint, exactly otherwise (see :func:`_bracket_compare`).
-        """
+        """Exact three-way value comparison; works across distinct fields
+        (see :func:`_compare`)."""
         lifted = _lift(other)
         if lifted is NotImplemented:
             raise TypeError(f"cannot compare QuadExt with {type(other)}")
-        return _bracket_compare(self, _bracket(self), lifted, _bracket(lifted))
+        return _compare(self, lifted)
 
     def __lt__(self, other) -> bool:
         return self.compare(other) < 0
@@ -366,9 +362,11 @@ class QuadExt(Immutable):
         """Floating value with a conservative absolute error bound, so a
         certified bracket [value - bound, value + bound] of the element:
         ``RadicalSum.of(self).to_float(precision_bits)``, from the integers
-        (see :func:`_surd_float`), the 53-bit one kept by an irrational.
-        ``compare`` decides from it where it can.  Raises OverflowError
-        beyond the float range.
+        (see :func:`_surd_float`), the 53-bit one kept by an irrational:
+        ``float()``, so the CSV float column, and the float filters of
+        ``double_cover`` and ``diagnostics`` share it.  ``compare`` and the
+        ``PointSet`` sort take no float.  Raises OverflowError beyond the
+        float range.
         """
         if precision_bits == 53 and self._fb is not None:
             return self._fb
@@ -430,35 +428,21 @@ def _lift(x) -> Union[QuadExt, type(NotImplemented)]:
     return NotImplemented
 
 
-def _bracket(u: QuadExt) -> Optional[tuple[float, float]]:
-    """``u.to_float()``, or None beyond the float range."""
-    try:
-        return u.to_float()
-    except OverflowError:
-        return None
-
-
-def _bracket_compare(u: QuadExt, bu, v: QuadExt, bv) -> int:
-    """Exact three-way comparison of u and v, given their :func:`_bracket`s.
-
-    Filtered: the brackets u +/- eu and v +/- ev decide when they are
-    disjoint.  The sum eu + ev, its product with 1 + 2**-50 and the
-    difference u - v each round by at most 2**-53 relative (and not at
-    all below the normal range), which the factor outweighs; so when the
-    scaled sum is below |u - v|, the values differ with the sign of
-    u - v.  Otherwise, and for a value beyond the float range, equal
-    components give 0 (QuadExt is canonical), and the sign of the
-    difference decides: from integers within one field.
-    """
-    if bu is not None and bv is not None:
-        diff = bu[0] - bv[0]
-        if (bu[1] + bv[1]) * (1 + 2.0**-50) < abs(diff) < inf:
-            return 1 if diff > 0 else -1
-    if u is v or (u.A == v.A and u.B == v.B and u.q == v.q and u.d == v.d):
-        return 0
-    if u.d == v.d or u.d == 1 or v.d == 1:
-        return _quad_sign(u.A * v.q - v.A * u.q, u.B * v.q - v.B * u.q, max(u.d, v.d))
-    return RadicalSum.of(u, -v).sign()
+def _compare(u: QuadExt, v: QuadExt) -> int:
+    """Exact three-way comparison of u and v.  Within one field, or
+    against a rational, it is the sign of the integer difference
+    (A_u*q_v - A_v*q_u) + (B_u*q_v - B_v*q_u)*sqrt(d), over q_u*q_v > 0
+    (plain differences when q_u = q_v); across two fields, that of a
+    :class:`RadicalSum`."""
+    d = u.d
+    if d == 1:
+        d = v.d
+    elif v.d != d and v.d != 1:
+        return RadicalSum.of(u, -v).sign()
+    q, r = u.q, v.q
+    if q == r:
+        return _quad_sign(u.A - v.A, u.B - v.B, d)
+    return _quad_sign(u.A * r - v.A * q, u.B * r - v.B * q, d)
 
 
 # -- serialization -----------------------------------------------------------
@@ -902,8 +886,8 @@ def _canonical_order(
     The first point with a radical ends that pass.  Then a key is the
     componentwise (A, B, q, d) of both coordinates, which is value
     equality since QuadExt is canonical, and a comparison sort orders the
-    points from each coordinate's :func:`_bracket`, read once here, with exact
-    arithmetic only where two brackets overlap or overflow.
+    points by :func:`_compare`, from integers alone: the x-coordinates
+    share one field, and so do the y-coordinates.
     """
     keys: list[tuple] = []
     for p in pts:
@@ -922,14 +906,10 @@ def _canonical_order(
     ys = [p.y for p in pts]
     d_x = _ambient_d({u.d for u in xs}, "x")
     d_y = _ambient_d({u.d for u in ys}, "y")
-    bx = [_bracket(u) for u in xs]
-    by = [_bracket(u) for u in ys]
     keys = [(u.A, u.B, u.q, u.d, v.A, v.B, v.q, v.d) for u, v in zip(xs, ys)]
 
     def cmp(i: int, j: int) -> int:
-        return _bracket_compare(xs[i], bx[i], xs[j], bx[j]) or _bracket_compare(
-            ys[i], by[i], ys[j], by[j]
-        )
+        return _compare(xs[i], xs[j]) or _compare(ys[i], ys[j])
 
     return d_x, d_y, keys, sorted(range(len(pts)), key=cmp_to_key(cmp))
 

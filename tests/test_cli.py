@@ -587,8 +587,8 @@ def test_outputs_byte_identical(tmp_path):
          "16ada7c825d64ef86da6fb89134a09cbcde8d86ad0837c7550a93240a0d95dcd"),
         (("example", "--radius", "157/20"),
          "c2d205446ed349919a270855ef2e2bac2b48a26b71c490da14019a198504ce0a"),
-        # the oracle and the comparison sort share the float-bracket
-        # filters, so agreement between them cannot catch a filter bug
+        # the oracle and the closed form share the PointSet sort, so
+        # agreement between them cannot catch a bug in it
         (("example", "--radius", "41/10", "--oracle"),
          "01b90b6d23fc2986eebf1c89f8a05f300c5e88ee2b59ae193298b0093f9d1dba"),
         (("example", "--radius", "157/4"),

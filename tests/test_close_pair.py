@@ -280,6 +280,29 @@ def test_inhom_random_instances():
         done += 1
 
 
+def test_inhom_greedy_step_lands_within_a_quarter_of_eps():
+    """For the first convergent p/q with q >= 2/eps, |q*lambda - p| < 1/q
+    <= eps/2, so the greedy residual c - j*(q*lambda - p) is at most half
+    of that: 16*res**2 < eps**2, exactly, with c rational or in the field
+    of lambda and eps from 1 down to 1e-15."""
+    rng = random.Random(1414)
+    done = 0
+    while done < 1200:
+        try:
+            Q = rng.choice((-1, 1)) * rng.randint(1, 12)
+            lam = QuadIrrational(rng.randint(-40, 40), rng.randint(2, 400), Q)
+        except ValueError:
+            continue
+        c = Fraction(rng.randint(-(10**6), 10**6), rng.randint(1, 10**6))
+        if done % 2:
+            c = QuadExt(c, Fraction(rng.randint(-999, 999), rng.randint(1, 999)), lam.d)
+        eps = Fraction(rng.randint(1, 10), 10 ** rng.randint(1, 15))
+        m, mp_ = inhom_approx(lam, c, eps)
+        res = exact_residual(lam, c, m, mp_)
+        assert (16 * res * res).compare(eps * eps) < 0, (lam, c, eps)
+        done += 1
+
+
 # -- cylinders ---------------------------------------------------------------------
 
 

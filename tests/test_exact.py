@@ -16,6 +16,7 @@ from holoset.close_pair import Cylinder, QuadIrrational, close_pair, inhom_appro
 from holoset.coprime import crt_hole, gcd_filtered_points
 from holoset.diagnostics import covering_radius
 from holoset.double_cover import closed_form, geometric_oracle
+import holoset.exact as exact
 from holoset.exact import (
     MAX_RADICAND,
     _float_with_bound,
@@ -62,6 +63,8 @@ def test_mismatched_fields_raise():
         QuadExt(0, 1, 2) + QuadExt(0, 1, 3)
     with pytest.raises(FieldMismatchError):
         QuadExt(0, 1, 2) * QuadExt(0, 1, 3)
+    with pytest.raises(FieldMismatchError, match=r"sqrt\(2\) with sqrt\(3\)"):
+        QuadExt(0, 1, 2) / QuadExt(0, 1, 3)
 
 
 def test_non_squarefree_radicand_reduces():
@@ -316,6 +319,52 @@ def test_floor_takes_integers_only(monkeypatch):
     for name in ("to_float", "sign", "__init__"):
         monkeypatch.setattr(QuadExt, name, refuse)
     assert [u.floor() for u in cases] == want
+
+
+def test_compare_and_sort_take_integers_only(monkeypatch):
+    """Comparisons within one field, or against a rational, and the
+    PointSet sort and membership of freshly built points decide from the
+    integers (A + B*sqrt(d))/q: no float bracket and no RadicalSum."""
+    rng = random.Random(14)
+
+    def rat(digits: int) -> Fraction:
+        return Fraction(rng.randint(-(10**digits), 10**digits), rng.randint(1, 10**4))
+
+    pairs = []
+    for _ in range(200):
+        d = rng.choice(SQUAREFREE[1:])
+        u, v = QuadExt(rat(9), rat(9), d), QuadExt(rat(9), rat(9), d)
+        r = QuadExt(rat(9))
+        pairs += [(u, v), (u, r), (r, u), (r, QuadExt(rat(9)))]
+        pairs += [(u, QuadExt(u.a, u.b, d))]
+        pairs += [(u, u + Fraction(1, 10**30)), (u, u - Fraction(1, 10**30))]
+    g = QuadExt(1)
+    for _ in range(80):  # (1 - sqrt(2))**n, down to within 1e-30 of 0
+        g = g * QuadExt(1, -1, 2)
+        pairs += [(g, QuadExt(0)), (g, -g), (g + 1, QuadExt(1))]
+    want = [
+        ref_sign((u.a, 1), (u.b, u.d), (-v.a, 1), (-v.b, v.d)) for u, v in pairs
+    ]
+    ps = closed_form(None, Fraction(41, 10))
+    fresh = [  # new coordinate objects, as the CSV reader builds them
+        PlanarPoint(parse_quadext(str(p.x)), parse_quadext(str(p.y)), p.tag)
+        for p in ps
+    ]
+    rng.shuffle(fresh)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("comparison left integer arithmetic")
+
+    monkeypatch.setattr(QuadExt, "to_float", refuse)
+    monkeypatch.setattr(exact, "_surd_float", refuse)
+    monkeypatch.setattr(RadicalSum, "approx", refuse)
+    monkeypatch.setattr(RadicalSum, "sign", refuse)
+    assert [u.compare(v) for u, v in pairs] == want
+    assert [v.compare(u) for u, v in pairs] == [-w for w in want]
+    built = PointSet(fresh)
+    assert [(p.x, p.y, p.tag) for p in built] == [(p.x, p.y, p.tag) for p in ps]
+    assert all(p in built for p in fresh)
+    assert not any(PlanarPoint(p.x + Fraction(1, 2), p.y) in built for p in fresh)
 
 
 # -- integer representation ------------------------------------------------------

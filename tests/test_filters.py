@@ -1,11 +1,12 @@
 """Every float-bracket filter agrees with the exact path it short-cuts.
 
-The filters in ``QuadExt.to_float``/``compare``,
-``double_cover._norm_le``/``_strictly_between`` and
-``diagnostics.growth_counts`` decide from certified float brackets and
-fall back to exact arithmetic near the boundary.  ``QuadExt.floor``
-takes no float: it is one integer square root, checked here against a
-second integer formula.  Each is compared with its exact reference on
+The filters in ``double_cover._norm_le``/``_strictly_between`` and
+``diagnostics.growth_counts`` decide from the certified float brackets
+of ``QuadExt.to_float`` and fall back to exact arithmetic near the
+boundary.  ``QuadExt.compare`` and ``QuadExt.floor`` take no float: a
+comparison is the sign of an integer difference and a floor one integer
+square root, checked here against the exact sign and a second integer
+formula.  Each is compared with its exact reference on
 random inputs and on inputs built to defeat a float: values 1e-30
 apart, equal values built differently, offsets of 1e30, values beyond
 the float range, values of subnormal size, values within 1e-20 of an
