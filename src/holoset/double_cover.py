@@ -1,19 +1,21 @@
 """Holonomy set of a torus double cover branched over two shifted points.
 
 The cover is branched over the origin and over an irrationally shifted
-point t = (tx, ty); developing saddle connections into the plane yields
-three families of holonomy vectors: primitive integer vectors (UU),
-integer translates of +t (UV) and of -t (VU).  ``closed_form`` emits that
-description directly; ``geometric_oracle`` re-derives the same set from
-first principles by enumerating candidate segments between developed
-singularities and keeping exactly those whose open interior misses every
-other singularity.
+point t = (tx, ty).  When 1, tx and ty are linearly independent over Q,
+that is when tx and ty lie in distinct quadratic fields, developing
+saddle connections into the plane yields three families of holonomy
+vectors: primitive integer vectors (UU), integer translates of +t (UV)
+and of -t (VU).  ``closed_form`` emits that description directly and
+refuses other shifts; ``geometric_oracle`` re-derives the set for any
+shift from visibility alone: from each source it sorts the singularities
+within the radius by angle and keeps the nearest of each direction.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Optional
 
 from .exact import (
@@ -24,9 +26,7 @@ from .exact import (
     RadicalSum,
     as_positive,
     cross,
-    dot,
     norm_sq_bracket,
-    point,
 )
 from .coprime import coprime_points
 
@@ -38,7 +38,8 @@ TAG_VU = "VU"
 class ShiftVector(Immutable):
     """Branch shift t = (tx, ty); both components must be irrational and
     lie strictly between 0 and 1 so t is not a lattice point of either
-    family."""
+    family.  :func:`closed_form` also needs tx and ty in distinct fields,
+    so that 1, tx and ty are linearly independent over Q."""
 
     __slots__ = ("tx", "ty")
 
@@ -87,8 +88,13 @@ def _int_range(lo: QuadExt, hi: QuadExt) -> range:
 def closed_form(shift: Optional[ShiftVector], radius) -> PointSet:
     """The holonomy set inside the closed radius ball, by its three-family
     description: coprime integer pairs, and the two shifted lattices.
-    ``shift=None`` takes the default (sqrt(2)-1, sqrt(3)-1) shift."""
+    ``shift=None`` takes the default (sqrt(2)-1, sqrt(3)-1) shift.  It
+    holds only when 1, tx and ty are linearly independent over Q, so tx
+    and ty in one field raise ValueError (t = (sqrt(2)-1, sqrt(2)-1)
+    blocks the segment from 0 to (1, 1))."""
     shift = shift or ShiftVector()
+    if shift.tx.d == shift.ty.d:  # one field Q(sqrt(d)) holds 1, tx and ty
+        raise ValueError("1, tx and ty must be linearly independent over Q")
     R = as_positive(radius, "radius")
     R2 = R * R
     tx, ty = shift.tx, shift.ty
@@ -136,115 +142,82 @@ def _ball_row(x: QuadExt, sy: QuadExt, R2: Fraction) -> range:
     return range(end(lo, -1), end(hi, 1) + 1)
 
 
-def _off_line(w, src, dst) -> bool:
-    """True when w is certainly not on the line through src and dst: the
-    float cross product c of (w - src) and (dst - src), from the six
-    to_float brackets, exceeds its error bound.
+def _turn(u, v) -> int:
+    """Exact sign of the cross product u x v = ux*vy - uy*vx.
 
-    With u = w - src and v = dst - src in floats, each component is off by
-    its two brackets' bounds plus 2**-52 of itself for the subtraction;
-    then |Ux*Vy - ux*vy| <= |ux|*e(vy) + |vy|*e(ux) + e(ux)*e(vy), and
-    likewise for uy*vx.  The two products and their difference round by
-    at most 2**-51 of |ux*vy| + |uy*vx| in all, covered by 2**-50 of it,
-    plus 2**-1074 per operation below the normal range, covered by
-    2**-1000; the factor 1 + 2**-48 covers the rounding of the bound's
-    own evaluation.  Overflow, inf or nan decide nothing.
+    The float c = ux*vy - uy*vx from the four to_float brackets decides
+    when |c| exceeds its error bound: |Ux*Vy - ux*vy| <= |ux|*e(vy) +
+    |vy|*e(ux) + e(ux)*e(vy), and likewise for uy*vx.  The two products
+    and their difference round by at most 2**-51 of |ux*vy| + |uy*vx| in
+    all, covered by 2**-50 of it, plus 2**-1074 per operation below the
+    normal range, covered by 2**-1000; the factor 1 + 2**-48 covers the
+    rounding of the bound's own evaluation.  Otherwise, and on overflow,
+    inf or nan, :func:`cross` decides exactly.
     """
     try:
-        (wx, ewx), (wy, ewy) = w[0].to_float(), w[1].to_float()
-        (sx, esx), (sy, esy) = src[0].to_float(), src[1].to_float()
-        (dx, edx), (dy, edy) = dst[0].to_float(), dst[1].to_float()
+        (ux, eux), (uy, euy) = u[0].to_float(), u[1].to_float()
+        (vx, evx), (vy, evy) = v[0].to_float(), v[1].to_float()
     except OverflowError:
-        return False
-    ux, uy, vx, vy = wx - sx, wy - sy, dx - sx, dy - sy
-    eux = ewx + esx + abs(ux) * 2.0**-52
-    euy = ewy + esy + abs(uy) * 2.0**-52
-    evx = edx + esx + abs(vx) * 2.0**-52
-    evy = edy + esy + abs(vy) * 2.0**-52
+        return cross(u, v).sign()
     p, q = ux * vy, uy * vx
     bound = (
         abs(ux) * evy + abs(vy) * eux + eux * evy
         + abs(uy) * evx + abs(vx) * euy + euy * evx
         + (abs(p) + abs(q)) * 2.0**-50
     ) * (1 + 2.0**-48) + 2.0**-1000
-    return abs(p - q) > bound
+    c = p - q
+    if c > bound:
+        return 1
+    if c < -bound:
+        return -1
+    return cross(u, v).sign()
 
 
-def _strictly_between(w, src, dst) -> bool:
-    """Exact test: w lies on the open segment (src, dst).
-
-    Triples that :func:`_off_line` rejects are not collinear; the rest are
-    decided exactly.  Assumes nothing about fields; all arithmetic goes
-    through RadicalSum.
-    """
-    if _off_line(w, src, dst):
-        return False
-    wx, wy = w
-    sx, sy = src
-    dx, dy = dst
-    if not cross((wx - sx, wy - sy), (dx - sx, dy - sy)).is_zero:
-        return False
-    if dot((wx - sx, wy - sy), (dx - sx, dy - sy)).sign() <= 0:
-        return False
-    if dot((wx - dx, wy - dy), (sx - dx, sy - dy)).sign() <= 0:
-        return False
-    return True
-
-
-def _segment_interior_empty(src, dst, shifts) -> bool:
-    """No singularity of any family lies strictly inside the segment."""
-    sx, sy = src
-    dx, dy = dst
-    xlo, xhi = (sx, dx) if sx <= dx else (dx, sx)
-    ylo, yhi = (sy, dy) if sy <= dy else (dy, sy)
-    for ftx, fty in shifts:
-        for m in _int_range(xlo - ftx - 1, xhi - ftx + 1):
-            wx = m + ftx
-            if wx < xlo or wx > xhi:
-                continue
-            for k in _int_range(ylo - fty - 1, yhi - fty + 1):
-                wy = k + fty
-                if wy < ylo or wy > yhi:
-                    continue
-                if _strictly_between((wx, wy), src, dst):
-                    return False
-    return True
+def _angle_cmp(u, v) -> int:
+    """Counter-clockwise order of two vectors in one half-plane; along
+    one direction the nearer first (|x| decides unless x = 0)."""
+    return (
+        -_turn(u, v)
+        or (u[0] * u[0]).compare(v[0] * v[0])
+        or (u[1] * u[1]).compare(v[1] * v[1])
+    )
 
 
 def geometric_oracle(shift: Optional[ShiftVector], radius) -> PointSet:
-    """Re-derive the holonomy set from segment geometry.
+    """Re-derive the holonomy set by visibility, for any shift.
 
-    Sources reduce, by translation invariance of the two singularity
-    families, to one representative per family: the origin (U) and the
-    shift t (V).  Every candidate target within the radius ball is tested
-    for an empty open interior against both full families.  ``shift=None``
-    takes the default shift, as in :func:`closed_form`.
+    By translation invariance the sources are the origin (U) and t (V).
+    From a source o, a singularity w with |w - o| <= R is reached exactly
+    when no other singularity lies on the open segment (o, w).  Such a
+    blocker is nearer in the same direction, so it is a candidate too:
+    sorting the candidates of both families by angle and keeping the
+    nearest of each direction finds the visible ones, with neither the
+    gcd nor the lattice structure that :func:`closed_form` uses.
+    ``shift=None`` takes the default shift, as in :func:`closed_form`.
     """
     shift = shift or ShiftVector()
     R = as_positive(radius, "radius")
     R2 = R * R
-    tx, ty = shift.tx, shift.ty
-    zero = QuadExt(0)
-    families = {
-        "U": (zero, zero),
-        "V": (tx, ty),
-    }
-    shifts = list(families.values())
+    families = {"U": (QuadExt(0), QuadExt(0)), "V": (shift.tx, shift.ty)}
     pts: list[PlanarPoint] = []
     for src_name, (ox, oy) in families.items():
-        for dst_name, (ftx, fty) in families.items():
-            tag = src_name + dst_name
-            for a in _int_range(ox - R - ftx - 1, ox + R - ftx + 1):
-                wx = a + ftx
-                hx = wx - ox
-                for b in _int_range(oy - R - fty - 1, oy + R - fty + 1):
-                    wy = b + fty
-                    hy = wy - oy
-                    if (src_name == dst_name) and a == 0 and b == 0:
-                        continue
-                    if not _norm_le(hx, hy, R2):
-                        continue
-                    if _segment_interior_empty((ox, oy), (wx, wy), shifts):
-                        pts.append(PlanarPoint(hx, hy, tag))
+        # y > 0 or y = 0 < x, and the rest: each half-plane spans less
+        # than pi, so inside one the cross sign orders directions
+        halves: tuple[list, list] = ([], [])
+        for dst_name, (fx, fy) in families.items():
+            sx, sy = fx - ox, fy - oy
+            for a in _int_range(-R - sx - 1, R - sx + 1):
+                hx = a + sx
+                for b in _int_range(-R - sy - 1, R - sy + 1):
+                    hy = b + sy
+                    if (hx or hy) and _norm_le(hx, hy, R2):
+                        lower = (hy.sign() or hx.sign()) < 0
+                        halves[lower].append((hx, hy, src_name + dst_name))
+        for half in halves:
+            half.sort(key=cmp_to_key(_angle_cmp))
+            head = None  # the nearest of the current direction
+            for c in half:
+                if head is None or _turn(head, c):
+                    pts.append(PlanarPoint(*c))
+                    head = c
     return PointSet(pts)
-

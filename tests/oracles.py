@@ -2,8 +2,9 @@
 
 None of these is on a library path: each re-derives by a second method
 what the library computes (a square-by-square ray trace for the
-monodromy walk, an exact slope test for the double cover, a windowed
-gcd filter for the hole inspection), or exposes internal state to test.
+monodromy walk, a per-segment blocker scan and an exact slope test for
+the double cover, a windowed gcd filter for the hole inspection), or
+exposes internal state to test.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from math import ceil, floor, gcd
 from typing import Optional
 
 from holoset.coprime import _integer_lift
-from holoset.exact import PlanarPoint, PointSet, as_fraction
+from holoset.double_cover import ShiftVector, _int_range, _norm_le, _turn
+from holoset.exact import PlanarPoint, PointSet, QuadExt, as_fraction, as_positive, dot
 from holoset.origami import Direction, Origami, VertexClass, _singular_flags
 
 
@@ -122,3 +124,69 @@ def slope_class(p1: PlanarPoint, p2: PlanarPoint) -> str:
     # same field: dy = r*dx with rational r iff the components are
     # proportional as rational vectors
     return "rational" if dy.a * dx.b == dy.b * dx.a else "irrational"
+
+
+def _strictly_between(w, src, dst) -> bool:
+    """Exact test: w lies on the open segment (src, dst).
+
+    Collinearity is the exact sign of :func:`holoset.double_cover._turn`
+    on w - src and dst - src; the two dot products then place w strictly
+    between the ends.  Coordinates must share a field per axis.
+    """
+    (wx, wy), (sx, sy), (dx, dy) = w, src, dst
+    if _turn((wx - sx, wy - sy), (dx - sx, dy - sy)):
+        return False
+    if dot((wx - sx, wy - sy), (dx - sx, dy - sy)).sign() <= 0:
+        return False
+    return dot((wx - dx, wy - dy), (sx - dx, sy - dy)).sign() > 0
+
+
+def _segment_interior_empty(src, dst, shifts) -> bool:
+    """No singularity of any family lies strictly inside the segment."""
+    sx, sy = src
+    dx, dy = dst
+    xlo, xhi = (sx, dx) if sx <= dx else (dx, sx)
+    ylo, yhi = (sy, dy) if sy <= dy else (dy, sy)
+    for ftx, fty in shifts:
+        for m in _int_range(xlo - ftx - 1, xhi - ftx + 1):
+            wx = m + ftx
+            if wx < xlo or wx > xhi:
+                continue
+            for k in _int_range(ylo - fty - 1, yhi - fty + 1):
+                wy = k + fty
+                if wy < ylo or wy > yhi:
+                    continue
+                if _strictly_between((wx, wy), src, dst):
+                    return False
+    return True
+
+
+def segment_oracle(shift: Optional[ShiftVector], radius) -> PointSet:
+    """The double-cover holonomy set from first principles: every
+    candidate segment from a source (the origin, or t) to a singularity of
+    either family within the radius is kept when its open interior misses
+    every singularity of both families.  Cubic in the radius; the
+    reference for :func:`holoset.double_cover.geometric_oracle`."""
+    shift = shift or ShiftVector()
+    R = as_positive(radius, "radius")
+    R2 = R * R
+    zero = QuadExt(0)
+    families = {"U": (zero, zero), "V": (shift.tx, shift.ty)}
+    shifts = list(families.values())
+    pts: list[PlanarPoint] = []
+    for src_name, (ox, oy) in families.items():
+        for dst_name, (ftx, fty) in families.items():
+            tag = src_name + dst_name
+            for a in _int_range(ox - R - ftx - 1, ox + R - ftx + 1):
+                wx = a + ftx
+                hx = wx - ox
+                for b in _int_range(oy - R - fty - 1, oy + R - fty + 1):
+                    wy = b + fty
+                    hy = wy - oy
+                    if (src_name == dst_name) and a == 0 and b == 0:
+                        continue
+                    if not _norm_le(hx, hy, R2):
+                        continue
+                    if _segment_interior_empty((ox, oy), (wx, wy), shifts):
+                        pts.append(PlanarPoint(hx, hy, tag))
+    return PointSet(pts)

@@ -1,6 +1,7 @@
 """Tests for the branched double cover holonomy families."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,10 +24,17 @@ from holoset.exact import (
     point,
     sqrt_bounds_frac,
 )
-from oracles import slope_class
+from oracles import segment_oracle, slope_class
 
 SQRT2M1 = QuadExt(-1, 1, 2)
 SQRT3M1 = QuadExt(-1, 1, 3)
+
+# tx and ty in one field: the only shifts where one family blocks the other
+SAME_FIELD_SHIFTS = [
+    ShiftVector(SQRT2M1, SQRT2M1),
+    ShiftVector(SQRT2M1, QuadExt(2, -1, 2)),
+    ShiftVector(SQRT2M1, QuadExt(Fraction(-1, 2), Fraction(1, 2), 2)),
+]
 
 
 def tags_of(ps):
@@ -143,6 +151,75 @@ def test_oracle_nondefault_shift_agrees():
         ty=QuadExt(-2, 1, 5),
     )
     assert closed_form(shift, 2) == geometric_oracle(shift, 2)
+
+
+@pytest.mark.parametrize(
+    "shift,blocked", zip(SAME_FIELD_SHIFTS, [(1, 1), (1, -1), (2, 1)])
+)
+def test_closed_form_refuses_same_field_shift(shift, blocked):
+    # the three-family description would emit the integer vector
+    # `blocked`, though a translate of t lies on its segment from 0
+    with pytest.raises(ValueError, match="linearly independent over Q"):
+        closed_form(shift, 3)
+    assert point(*blocked) not in geometric_oracle(shift, 3)
+
+
+@pytest.mark.parametrize(
+    "shift,radius,count",
+    [(None, 4, 134), (None, Fraction(41, 10), 140)]
+    + list(zip(SAME_FIELD_SHIFTS, [3] * 3, [70, 70, 68]))
+    + list(zip(SAME_FIELD_SHIFTS, [4] * 3, [126] * 3)),
+    ids=["default-4", "default-41/10"]
+    + [f"same-field{i}-{r}" for r in (3, 4) for i in range(3)],
+)
+def test_oracle_matches_segment_oracle(shift, radius, count):
+    # the angular sweep against the per-segment blocker scan; on the
+    # same-field shifts one family blocks the other
+    a = geometric_oracle(shift, radius)
+    b = segment_oracle(shift, radius)
+    assert len(a) == count
+    assert a == b and tags_of(a) == tags_of(b)
+
+
+def random_cross_field_shift(rng: random.Random) -> ShiftVector:
+    """tx and ty in (0, 1), in distinct fields, with small denominators."""
+    dx, dy = rng.sample((2, 3, 5, 6, 7, 10, 11), 2)
+
+    def coordinate(d: int) -> QuadExt:
+        while True:
+            b = Fraction(rng.choice((-1, 1)) * rng.randint(1, 3), rng.randint(1, 4))
+            u = QuadExt(Fraction(rng.randint(-40, 40), rng.randint(1, 5)), b, d)
+            if QuadExt(0) < u < QuadExt(1):
+                return u
+
+    return ShiftVector(coordinate(dx), coordinate(dy))
+
+
+def test_oracle_matches_closed_form_on_random_shifts():
+    rng = random.Random(16)
+    for i in range(20):
+        shift = random_cross_field_shift(rng)
+        radius = 8 if i % 5 == 0 else Fraction(rng.randint(10, 79), 10)
+        a = closed_form(shift, radius)
+        b = geometric_oracle(shift, radius)
+        assert a == b and tags_of(a) == tags_of(b), (shift, radius)
+
+
+def test_oracle_takes_exact_signs_only_on_collinear_pairs(monkeypatch):
+    # the float filters of _norm_le and _turn settle every pair but the
+    # collinear ones, so the exact signs number fewer than the points
+    calls = 0
+    sign = RadicalSum.sign
+
+    def counted(self):
+        nonlocal calls
+        calls += 1
+        return sign(self)
+
+    monkeypatch.setattr(RadicalSum, "sign", counted)
+    ps = geometric_oracle(None, 8)
+    assert len(ps) == 522
+    assert 0 < calls < len(ps)
 
 
 def reference_closed_form(shift, radius):
