@@ -142,45 +142,22 @@ def _ball_row(x: QuadExt, sy: QuadExt, R2: Fraction) -> range:
     return range(end(lo, -1), end(hi, 1) + 1)
 
 
-def _turn(u, v) -> int:
-    """Exact sign of the cross product u x v = ux*vy - uy*vx.
-
-    The float c = ux*vy - uy*vx from the four to_float brackets decides
-    when |c| exceeds its error bound: |Ux*Vy - ux*vy| <= |ux|*e(vy) +
-    |vy|*e(ux) + e(ux)*e(vy), and likewise for uy*vx.  The two products
-    and their difference round by at most 2**-51 of |ux*vy| + |uy*vx| in
-    all, covered by 2**-50 of it, plus 2**-1074 per operation below the
-    normal range, covered by 2**-1000; the factor 1 + 2**-48 covers the
-    rounding of the bound's own evaluation.  Otherwise, and on overflow,
-    inf or nan, :func:`cross` decides exactly.
-    """
-    try:
-        (ux, eux), (uy, euy) = u[0].to_float(), u[1].to_float()
-        (vx, evx), (vy, evy) = v[0].to_float(), v[1].to_float()
-    except OverflowError:
-        return cross(u, v).sign()
-    p, q = ux * vy, uy * vx
-    bound = (
-        abs(ux) * evy + abs(vy) * eux + eux * evy
-        + abs(uy) * evx + abs(vx) * euy + euy * evx
-        + (abs(p) + abs(q)) * 2.0**-50
-    ) * (1 + 2.0**-48) + 2.0**-1000
-    c = p - q
-    if c > bound:
-        return 1
-    if c < -bound:
-        return -1
-    return cross(u, v).sign()
-
-
 def _angle_cmp(u, v) -> int:
-    """Counter-clockwise order of two vectors in one half-plane; along
-    one direction the nearer first (|x| decides unless x = 0)."""
+    """Counter-clockwise order of two vectors in one half-plane, by the
+    exact cross sign; along one direction the nearer first (|x| decides
+    unless x = 0)."""
     return (
-        -_turn(u, v)
+        -cross(u, v).sign()
         or (u[0] * u[0]).compare(v[0] * v[0])
         or (u[1] * u[1]).compare(v[1] * v[1])
     )
+
+
+def _float_angle(c) -> tuple[float, float]:
+    """Angle in [0, 2pi) and squared norm, in floats: the order that
+    :func:`_angle_cmp` gives, up to rounding."""
+    x, y = float(c[0]), float(c[1])
+    return math.atan2(y, x) % math.tau, x * x + y * y
 
 
 def geometric_oracle(shift: Optional[ShiftVector], radius) -> PointSet:
@@ -214,10 +191,13 @@ def geometric_oracle(shift: Optional[ShiftVector], radius) -> PointSet:
                         lower = (hy.sign() or hx.sign()) < 0
                         halves[lower].append((hx, hy, src_name + dst_name))
         for half in halves:
+            # the exact sort alone decides the order; the float presort
+            # leaves it about one comparison per candidate
+            half.sort(key=_float_angle)
             half.sort(key=cmp_to_key(_angle_cmp))
             head = None  # the nearest of the current direction
             for c in half:
-                if head is None or _turn(head, c):
+                if head is None or cross(head, c).sign():
                     pts.append(PlanarPoint(*c))
                     head = c
     return PointSet(pts)

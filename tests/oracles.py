@@ -13,8 +13,17 @@ from math import ceil, floor, gcd
 from typing import Optional
 
 from holoset.coprime import _integer_lift
-from holoset.double_cover import ShiftVector, _int_range, _norm_le, _turn
-from holoset.exact import PlanarPoint, PointSet, QuadExt, as_fraction, as_positive, dot
+from holoset.double_cover import ShiftVector, _int_range
+from holoset.exact import (
+    PlanarPoint,
+    PointSet,
+    QuadExt,
+    RadicalSum,
+    as_fraction,
+    as_positive,
+    cross,
+    dot,
+)
 from holoset.origami import Direction, Origami, VertexClass, _singular_flags
 
 
@@ -127,18 +136,12 @@ def slope_class(p1: PlanarPoint, p2: PlanarPoint) -> str:
 
 
 def _strictly_between(w, src, dst) -> bool:
-    """Exact test: w lies on the open segment (src, dst).
-
-    Collinearity is the exact sign of :func:`holoset.double_cover._turn`
-    on w - src and dst - src; the two dot products then place w strictly
-    between the ends.  Coordinates must share a field per axis.
-    """
+    """Exact test: w lies on the open segment (src, dst), that is w - src
+    and w - dst are parallel and point opposite ways.  Coordinates must
+    share a field per axis."""
     (wx, wy), (sx, sy), (dx, dy) = w, src, dst
-    if _turn((wx - sx, wy - sy), (dx - sx, dy - sy)):
-        return False
-    if dot((wx - sx, wy - sy), (dx - sx, dy - sy)).sign() <= 0:
-        return False
-    return dot((wx - dx, wy - dy), (sx - dx, sy - dy)).sign() > 0
+    u, v = (wx - sx, wy - sy), (wx - dx, wy - dy)
+    return cross(u, v).is_zero and dot(u, v).sign() < 0
 
 
 def _segment_interior_empty(src, dst, shifts) -> bool:
@@ -165,8 +168,9 @@ def segment_oracle(shift: Optional[ShiftVector], radius) -> PointSet:
     """The double-cover holonomy set from first principles: every
     candidate segment from a source (the origin, or t) to a singularity of
     either family within the radius is kept when its open interior misses
-    every singularity of both families.  Cubic in the radius; the
-    reference for :func:`holoset.double_cover.geometric_oracle`."""
+    every singularity of both families.  Exact throughout and cubic in
+    the radius; the reference for
+    :func:`holoset.double_cover.geometric_oracle`."""
     shift = shift or ShiftVector()
     R = as_positive(radius, "radius")
     R2 = R * R
@@ -185,7 +189,7 @@ def segment_oracle(shift: Optional[ShiftVector], radius) -> PointSet:
                     hy = wy - oy
                     if (src_name == dst_name) and a == 0 and b == 0:
                         continue
-                    if not _norm_le(hx, hy, R2):
+                    if RadicalSum.of(hx * hx, hy * hy, -R2).sign() > 0:
                         continue
                     if _segment_interior_empty((ox, oy), (wx, wy), shifts):
                         pts.append(PlanarPoint(hx, hy, tag))

@@ -1,14 +1,14 @@
 """Every float-bracket filter agrees with the exact path it short-cuts.
 
-The filters in ``double_cover._norm_le``/``_turn`` and
+The filters in ``double_cover._norm_le`` and
 ``diagnostics.growth_counts`` decide from the certified float brackets
 of ``QuadExt.to_float`` and fall back to exact arithmetic near the
-boundary; ``oracles._strictly_between``, the segment test of the
-reference oracle, takes its collinearity from ``_turn``.
-``QuadExt.compare`` and ``QuadExt.floor`` take no float: a
+boundary.  ``QuadExt.compare`` and ``QuadExt.floor`` take no float: a
 comparison is the sign of an integer difference and a floor one integer
 square root, checked here against the exact sign and a second integer
-formula.  Each is compared with its exact reference on
+formula.  ``oracles._strictly_between``, the segment test of the
+reference oracle, takes no float either and is checked against a second
+exact formula.  Each is compared with its exact reference on
 random inputs and on inputs built to defeat a float: values 1e-30
 apart, equal values built differently, offsets of 1e30, values beyond
 the float range, values of subnormal size, values within 1e-20 of an
@@ -25,7 +25,7 @@ from math import isqrt
 import pytest
 
 from holoset.diagnostics import growth_counts
-from holoset.double_cover import _norm_le, _turn
+from holoset.double_cover import _norm_le
 from holoset.exact import (
     PointSet,
     QuadExt,
@@ -231,11 +231,12 @@ def test_norm_le_agrees_with_exact_sign():
         assert _norm_le(x, y, R2) == want, (x, y, R2)
 
 
-# -- _turn and _strictly_between -----------------------------------------------
+# -- _strictly_between ---------------------------------------------------------
 
 
 def exact_between(w, src, dst) -> bool:
-    """The exact cross/dot test that _strictly_between short-cuts."""
+    """A second exact formula for _strictly_between: w - src is parallel
+    to dst - src and w lies past neither end."""
     (wx, wy), (sx, sy), (dx, dy) = w, src, dst
     if not cross((wx - sx, wy - sy), (dx - sx, dy - sy)).is_zero:
         return False
@@ -279,21 +280,6 @@ def test_strictly_between_agrees_with_exact_test():
         hits += want
         assert _strictly_between(w, src, dst) == want, (w, src, dst)
     assert hits  # some triples do lie on their open segment
-
-
-def test_turn_agrees_with_exact_cross_sign():
-    signs = set()
-    for w, src, dst in between_cases():
-        u = (w[0] - src[0], w[1] - src[1])
-        v = (dst[0] - src[0], dst[1] - src[1])
-        # the differences cancel the offsets, so scale them back out
-        for k in (1, 10**30, HUGE):
-            uk = (u[0] * k, u[1] * k)
-            want = cross(uk, v).sign()
-            signs.add(want)
-            assert _turn(uk, v) == want, (uk, v)
-            assert _turn(v, uk) == -want, (v, uk)
-    assert signs == {-1, 0, 1}
 
 
 # -- growth_counts -------------------------------------------------------------
