@@ -14,7 +14,6 @@ rename).
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import re
@@ -25,15 +24,7 @@ from io import StringIO
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .close_pair import (
-    ApproximationSearchError,
-    IncompleteExpansionError,
-    RatioRationalError,
-    VerificationError,
-    WidthPreconditionError,
-    close_pair,
-    load_cylinder_pair,
-)
+from .close_pair import close_pair, load_cylinder_pair
 from .coprime import (
     CertificateError,
     crt_hole,
@@ -50,17 +41,11 @@ from .exact import (
     read_pointset_csv,
     write_pointset_csv,
 )
-from .origami import (
-    DisconnectedSurfaceError,
-    Origami,
-    enumerate_holonomies,
-)
+from .origami import Origami, enumerate_holonomies
 
+# the other exit codes are the exit_code attributes of the error classes
 EXIT_OK = 0
 EXIT_INVALID = 2
-EXIT_DISCONNECTED = 3
-EXIT_RATIONAL_RATIO = 4
-EXIT_WIDTH = 5
 
 # Refuse hole certificates whose CRT moduli would be absurdly large; the
 # estimate below tracks the true digit count closely for small grids.
@@ -118,6 +103,8 @@ def _csv_text(ps: PointSet) -> str:
 
 
 def _json_text(doc: dict) -> str:
+    import json  # only the commands that write JSON pay for it
+
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
@@ -397,20 +384,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DisconnectedSurfaceError as exc:
-        return _fail(EXIT_DISCONNECTED, exc)
-    except RatioRationalError as exc:
-        return _fail(EXIT_RATIONAL_RATIO, exc)
-    except WidthPreconditionError as exc:
-        return _fail(EXIT_WIDTH, exc)
-    except (
-        IncompleteExpansionError,
-        ApproximationSearchError,
-        VerificationError,
-        OSError,
-        ValueError,
-    ) as exc:
-        return _fail(EXIT_INVALID, exc)
+    except (OSError, ValueError, RuntimeError) as exc:
+        # an error class may carry its exit code; any other OSError or
+        # ValueError is invalid input, and any other RuntimeError a bug
+        code = getattr(exc, "exit_code", None)
+        if code is None and isinstance(exc, RuntimeError):
+            raise
+        return _fail(code or EXIT_INVALID, exc)
 
 
 if __name__ == "__main__":

@@ -11,7 +11,6 @@ only in reported distances, with error bounds attached.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from math import ceil, gcd, isqrt
 from typing import Iterator, NamedTuple, Optional, Union
@@ -34,22 +33,27 @@ from .exact import (
 
 class RatioRationalError(ValueError):
     """The circumference ratio is rational; no close pair is forced."""
+    exit_code = 4
 
 
 class WidthPreconditionError(ValueError):
     """The perpendicular components differ by r/2 or more."""
+    exit_code = 5
 
 
 class IncompleteExpansionError(RuntimeError):
     """Continued fraction period not found within the term budget."""
+    exit_code = 2
 
 
 class ApproximationSearchError(RuntimeError):
     """inhom_approx's exact check of its greedy solution failed."""
+    exit_code = 2
 
 
 class VerificationError(RuntimeError):
     """The candidate pair failed the exact distance check against r."""
+    exit_code = 2
 
 
 class ConfigError(ValueError):
@@ -342,6 +346,8 @@ def load_cylinder_pair(source) -> tuple[Cylinder, Cylinder]:
     widths are decimal or rational strings.
     """
     if isinstance(source, (str, bytes)):
+        import json
+
         with open(source, "r", encoding="utf-8-sig") as fh:
             try:
                 source = json.load(fh)

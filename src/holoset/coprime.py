@@ -9,12 +9,12 @@ from scratch.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
+from itertools import repeat
 from math import floor, gcd, isqrt, prod
 from typing import NamedTuple, Optional
 
-from .exact import PlanarPoint, PointSet, QuadExt, as_positive
+from .exact import PointSet, QuadExt, as_positive
 
 
 class CertificateError(ValueError):
@@ -30,25 +30,26 @@ def _integer_lift(ks: range) -> dict[int, QuadExt]:
 
 def gcd_filtered_points(max_gcd: int, radius) -> PointSet:
     """Nonzero integer points with gcd(|p|, |q|) <= max_gcd in the closed
-    radius ball, with gcd(k, 0) = |k|."""
+    radius ball, with gcd(k, 0) = |k|.  They are made column by column in
+    canonical order, so the set takes the columns as they are."""
     if max_gcd < 1:
         raise ValueError("max_gcd must be >= 1")
     R = as_positive(radius, "radius")
     # p*p + q*q is an integer, so comparing it with floor(R*R) is exact.
     R2 = floor(R * R)
     r = floor(R)
-    ks = range(-r, r + 1)
-    lift = _integer_lift(ks)
-    pts = []
-    for p in ks:
-        x = lift[p]
+    lift = _integer_lift(range(-r, r + 1))
+    xs, ys = [], []
+    for p in range(-r, r + 1):
         # |p| <= r and r*r <= R2, so the ball's column at p is
         # |q| <= isqrt(R2 - p*p): the same points, in the same order
         m = isqrt(R2 - p * p)
-        for q in range(-m, m + 1):
-            if (p or q) and gcd(p, q) <= max_gcd:
-                pts.append(PlanarPoint(x, lift[q]))
-    return PointSet(pts)
+        qs = [q for q in range(-m, m + 1) if gcd(p, q) <= max_gcd]
+        if not p:
+            qs.remove(0)  # gcd(0, 0) = 0, but the origin is no point
+        xs += repeat(lift[p], len(qs))
+        ys += map(lift.__getitem__, qs)
+    return PointSet._from_columns(tuple(xs), tuple(ys), (None,) * len(xs))
 
 
 def coprime_points(radius) -> PointSet:
@@ -147,6 +148,8 @@ class HoleCertificate(NamedTuple):
             raise CertificateError(f"malformed certificate: {exc}") from exc
 
     def dumps(self) -> str:
+        import json
+
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
 

@@ -98,9 +98,8 @@ def closed_form(shift: Optional[ShiftVector], radius) -> PointSet:
     R = as_positive(radius, "radius")
     R2 = R * R
     tx, ty = shift.tx, shift.ty
-    pts: list[PlanarPoint] = [
-        PlanarPoint(p.x, p.y, TAG_UU) for p in coprime_points(R)
-    ]
+    uu = coprime_points(R)
+    pts = [PlanarPoint(x, y, TAG_UU) for x, y in zip(uu.xs, uu.ys)]
     for sx, sy, tag in ((tx, ty, TAG_UV), (-tx, -ty, TAG_VU)):
         for a in _int_range(-R - sx - 1, R - sx + 1):
             x = a + sx

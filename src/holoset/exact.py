@@ -10,11 +10,12 @@ fields) are handled by :class:`RadicalSum`.
 
 from __future__ import annotations
 
-import csv
 import re
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
+from itertools import islice
 from math import gcd, inf, isqrt, ulp
+from operator import lt
 from typing import Iterable, Iterator, Optional, Union
 
 RationalLike = Union[int, Fraction]
@@ -807,32 +808,55 @@ class PointSet(Immutable):
 
     Duplicate coordinates are merged (keeping the smallest tag), and the
     ambient coordinate fields (d_x, d_y) are derived from the data: at most
-    one nontrivial radical may appear per coordinate axis.
+    one nontrivial radical may appear per coordinate axis.  The set is
+    stored as columns, the tuples xs, ys and tags; its PlanarPoints are
+    built when ``points``, iteration or indexing first needs them, and a
+    set built from points keeps those very objects.
     """
 
-    __slots__ = ("points", "d_x", "d_y")
+    __slots__ = ("xs", "ys", "tags", "d_x", "d_y", "_points")
 
-    points: tuple[PlanarPoint, ...]
+    xs: tuple[QuadExt, ...]
+    ys: tuple[QuadExt, ...]
+    tags: tuple[Optional[str], ...]
 
     def __init__(self, points: Iterable[PlanarPoint]):
         pts = list(points)
-        d_x, d_y, keys, order = _canonical_order(pts)
-        deduped: list[PlanarPoint] = []
-        last = None  # the key of deduped[-1]; no key is None
-        for i in order:
-            p = pts[i]
-            if keys[i] == last:
-                if _tag_key(p.tag) < _tag_key(deduped[-1].tag):
-                    deduped[-1] = p
-                continue
-            deduped.append(p)
-            last = keys[i]
-        _setattr(self, "points", tuple(deduped))
-        _setattr(self, "d_x", d_x)
-        _setattr(self, "d_y", d_y)
+        xs = [p.x for p in pts]
+        ys = [p.y for p in pts]
+        d_x, d_y, keys, order = _canonical_order(xs, ys)
+        if order is not None:
+            kept: list[int] = []
+            last = None  # the key of pts[kept[-1]]; no key is None
+            for i in order:
+                if keys[i] == last:
+                    if _tag_key(pts[i].tag) < _tag_key(pts[kept[-1]].tag):
+                        kept[-1] = i
+                    continue
+                kept.append(i)
+                last = keys[i]
+            pts, xs, ys = ([seq[i] for i in kept] for seq in (pts, xs, ys))
+        _fill(self, tuple(xs), tuple(ys), tuple(p.tag for p in pts), d_x, d_y, tuple(pts))
+
+    @classmethod
+    def _from_columns(cls, xs: tuple, ys: tuple, tags: tuple) -> "PointSet":
+        """The set of rational columns that are in canonical order already,
+        with no duplicate: nothing is checked or sorted, and no PlanarPoint
+        is built."""
+        return _fill(_new(cls), xs, ys, tags, 1, 1, None)
+
+    @property
+    def points(self) -> tuple[PlanarPoint, ...]:
+        if self._points is None:
+            pts = tuple(map(PlanarPoint, self.xs, self.ys, self.tags))
+            _setattr(self, "_points", pts)
+        return self._points
+
+    def _values(self) -> tuple:
+        return self.xs, self.ys, self.d_x, self.d_y
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.xs)
 
     def __iter__(self) -> Iterator[PlanarPoint]:
         return iter(self.points)
@@ -841,14 +865,13 @@ class PointSet(Immutable):
         return self.points[i]
 
     def __repr__(self) -> str:
-        return f"PointSet({len(self.points)} points, d=({self.d_x},{self.d_y}))"
+        return f"PointSet({len(self.xs)} points, d=({self.d_x},{self.d_y}))"
 
     def __contains__(self, pt: PlanarPoint) -> bool:
-        lo, hi = 0, len(self.points)
+        lo, hi = 0, len(self.xs)
         while lo < hi:
             mid = (lo + hi) // 2
-            q = self.points[mid]
-            c = q.x.compare(pt.x) or q.y.compare(pt.y)
+            c = self.xs[mid].compare(pt.x) or self.ys[mid].compare(pt.y)
             if c == 0:
                 return True
             if c < 0:
@@ -859,6 +882,12 @@ class PointSet(Immutable):
 
     def negate(self) -> "PointSet":
         return PointSet(p.negate() for p in self.points)
+
+
+def _fill(ps: PointSet, xs, ys, tags, d_x, d_y, points) -> PointSet:
+    for name, value in zip(PointSet.__slots__, (xs, ys, tags, d_x, d_y, points)):
+        _setattr(ps, name, value)
+    return ps
 
 
 def _tag_key(tag: Optional[str]) -> tuple[int, str]:
@@ -875,23 +904,24 @@ def _ambient_d(ds: set[int], axis: str) -> int:
 
 
 def _canonical_order(
-    pts: list[PlanarPoint],
-) -> tuple[int, int, list[tuple], list[int]]:
+    xs: list[QuadExt], ys: list[QuadExt]
+) -> tuple[int, int, list[tuple], Optional[list[int]]]:
     """The ambient radicals d_x and d_y, one equality key per point, and
-    the indices of pts in canonical order, from one pass over pts.
+    the indices of the points in canonical order, or None when they are in
+    it already, strictly increasing, so that no two are equal.
 
     A rational point's key is its pair of coordinates, each an int when it
     is an integer: ints and Fractions compare and test equal by value, so
     the keys sort lexicographically, and integer points sort as int pairs.
-    The first point with a radical ends that pass.  Then a key is the
+    One pass builds them, and a second, in C, checks that they increase.
+    A point with a radical ends the first pass.  Then a key is the
     componentwise (A, B, q, d) of both coordinates, which is value
     equality since QuadExt is canonical, and a comparison sort orders the
     points by :func:`_compare`, from integers alone: the x-coordinates
     share one field, and so do the y-coordinates.
     """
     keys: list[tuple] = []
-    for p in pts:
-        x, y = p.x, p.y
+    for x, y in zip(xs, ys):
         if x.d != 1 or y.d != 1:
             break
         keys.append(
@@ -901,9 +931,9 @@ def _canonical_order(
             )
         )
     else:
-        return 1, 1, keys, sorted(range(len(pts)), key=keys.__getitem__)
-    xs = [p.x for p in pts]
-    ys = [p.y for p in pts]
+        if all(map(lt, keys, islice(keys, 1, None))):
+            return 1, 1, keys, None
+        return 1, 1, keys, sorted(range(len(keys)), key=keys.__getitem__)
     d_x = _ambient_d({u.d for u in xs}, "x")
     d_y = _ambient_d({u.d for u in ys}, "y")
     keys = [(u.A, u.B, u.q, u.d, v.A, v.B, v.q, v.d) for u, v in zip(xs, ys)]
@@ -911,7 +941,7 @@ def _canonical_order(
     def cmp(i: int, j: int) -> int:
         return _compare(xs[i], xs[j]) or _compare(ys[i], ys[j])
 
-    return d_x, d_y, keys, sorted(range(len(pts)), key=cmp_to_key(cmp))
+    return d_x, d_y, keys, sorted(range(len(keys)), key=cmp_to_key(cmp))
 
 
 # -- CSV round trip ------------------------------------------------------------
@@ -923,31 +953,37 @@ def _float_repr(v: float) -> str:
     return format(v, ".12g")
 
 
+def _tag_cell(tag: Optional[str]) -> str:
+    """The tag's CSV field, quoted as ``csv.writer`` quotes it, and also
+    when it holds a carriage return, which Python 3.11's writer leaves bare
+    under a "\\n" line terminator, so that the row would not read back."""
+    if tag is None:
+        return ""
+    if any(c in tag for c in ',"\n\r'):
+        return '"' + tag.replace('"', '""') + '"'
+    return tag
+
+
 def write_pointset_csv(ps: PointSet, fileobj) -> None:
-    """Emit the canonical CSV form (header plus one row per point).
+    """Emit the canonical CSV form, a header plus one row per point: the
+    bytes of ``csv.writer(fileobj, lineterminator="\\n")`` (but see
+    :func:`_tag_cell`), each row one string read from the columns.
 
     The points of a set share coordinate objects, so each object's exact
-    and float text is built once, in a dict local to the call: the set
-    keeps every coordinate alive, so no id is reused while it runs, and
-    coordinates can have thousands of digits, so nothing outlives it.
+    and float text is built once, in a dict keyed by id and local to the
+    call: the set keeps every coordinate alive, so no id is reused while it
+    runs, and coordinates can have thousands of digits, so nothing outlives
+    it.
     """
-    cells: dict[int, tuple[str, str]] = {}
-
-    def cell(u: QuadExt) -> tuple[str, str]:
-        c = cells.get(id(u))
-        if c is None:
-            c = cells[id(u)] = (format_quadext(u), _float_repr(float(u)))
-        return c
-
-    def rows() -> Iterator[tuple[str, ...]]:
-        for p in ps:
-            ex, fx = cell(p.x)
-            ey, fy = cell(p.y)
-            yield ex, ey, fx, fy, p.tag or ""
-
-    w = csv.writer(fileobj, lineterminator="\n")
-    w.writerow(CSV_HEADER)
-    w.writerows(rows())
+    ix = list(map(id, ps.xs))
+    iy = list(map(id, ps.ys))
+    objs = dict(zip(ix, ps.xs))
+    objs.update(zip(iy, ps.ys))
+    cell = {k: (format_quadext(u), _float_repr(float(u))) for k, u in objs.items()}
+    tag = {t: _tag_cell(t) for t in set(ps.tags)}
+    rows = zip(map(cell.get, ix), map(cell.get, iy), map(tag.get, ps.tags))
+    body = "".join([f"{ex},{ey},{fx},{fy},{t}\n" for (ex, fx), (ey, fy), t in rows])
+    fileobj.write(",".join(CSV_HEADER) + "\n" + body)
 
 
 class CsvRowError(ParseError):
@@ -962,6 +998,8 @@ class CsvRowError(ParseError):
 
 
 def read_pointset_csv(fileobj) -> PointSet:
+    import csv  # only the commands that read a CSV pay for it
+
     reader = csv.reader(fileobj)
     pts: list[PlanarPoint] = []
     bad: list[int] = []

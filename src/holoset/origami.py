@@ -9,7 +9,6 @@ per-period monodromy.
 
 from __future__ import annotations
 
-import json
 import warnings
 from collections import Counter
 from fractions import Fraction
@@ -17,7 +16,7 @@ from functools import cached_property
 from math import gcd
 from typing import Iterable, Iterator, NamedTuple
 
-from .exact import Immutable, PointSet, as_positive, point
+from .exact import Immutable, PointSet, QuadExt, as_positive, point
 
 Perm = tuple[int, ...]
 
@@ -30,6 +29,7 @@ class OrigamiFormatError(ValueError):
 
 class DisconnectedSurfaceError(ValueError):
     """The permutation pair does not act transitively on the sheets."""
+    exit_code = 3
 
 
 def _is_int(x) -> bool:
@@ -131,6 +131,8 @@ class Origami:
 
     @classmethod
     def from_path(cls, path) -> "Origami":
+        import json
+
         with open(path, "r", encoding="utf-8-sig") as f:
             try:
                 data = json.load(f)
@@ -315,4 +317,6 @@ def enumerate_holonomies(o: Origami, radius, marked: bool = False) -> PointSet:
                     x, y = sx * s * p, s * q
                     pts.add((x, y))
                     pts.add((-x, -y))
-    return PointSet(point(x, y) for x, y in pts)
+    # sorted, so PointSet only checks the order; one QuadExt per integer
+    lift = {k: QuadExt(k) for k in {c for xy in pts for c in xy}}
+    return PointSet(point(lift[x], lift[y]) for x, y in sorted(pts))

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import ast
 import hashlib
 import json
 import os
@@ -13,7 +14,7 @@ import pytest
 import holoset
 from holoset import close_pair as close_pair_mod
 from holoset.cli import main
-from holoset.exact import parse_quadext, read_pointset_csv
+from holoset.exact import PlanarPoint, parse_quadext, read_pointset_csv
 
 TORUS = {"n": 1, "h": [0], "v": [0]}
 FOUR_SHEETS = {"n": 4, "h": [1, 2, 3, 0], "v": [1, 0, 2, 3]}
@@ -104,6 +105,22 @@ def test_coprime_out_file(tmp_path, capsys):
     with open(out, newline="") as f:
         ps = read_pointset_csv(f)
     assert len(ps.points) == 16
+
+
+def test_coprime_builds_no_planar_point(tmp_path, monkeypatch):
+    # the filter's columns reach the CSV text with no PlanarPoint per point
+    built = []
+    init = PlanarPoint.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(PlanarPoint, "__init__", counted)
+    out = tmp_path / "pts.csv"
+    assert run("coprime", "--radius", "30", "--max-gcd", "2", "--out", out) == 0
+    assert built == []
+    assert len(data_rows(out.read_text(encoding="utf-8"))) > 2000
 
 
 # -- enumerate -----------------------------------------------------------------
@@ -267,6 +284,17 @@ def test_close_pair_search_failures_exit_two(tmp_path, capsys, monkeypatch, erro
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {error}\n"
+
+
+def test_other_runtime_errors_are_not_invalid_input(tmp_path, monkeypatch):
+    # only the error classes with an exit_code map a RuntimeError to exit 2
+    def failing(*_args):
+        raise RuntimeError("a bug, not a failed search")
+
+    monkeypatch.setattr("holoset.cli.close_pair", failing)
+    path = write_json(tmp_path / "pair.json", GOLDEN_PAIR)
+    with pytest.raises(RuntimeError, match="a bug"):
+        run("close-pair", path, "--radius", "0.01")
 
 
 # -- diagnose ------------------------------------------------------------------
@@ -676,10 +704,21 @@ def test_subcommands_do_not_import_numpy_or_scipy(tmp_path):
     assert (tmp_path / "ex.svg").read_text().count("<circle ") > 0
 
 
+# every layer module, which holoset.cli imports up front: the benchmark's
+# tracer wraps their functions after importing holoset.cli, before main runs
+LAYER_MODULES = {
+    "holoset", "holoset.cli", "holoset.close_pair",
+    "holoset.coprime", "holoset.diagnostics", "holoset.double_cover",
+    "holoset.exact", "holoset.origami",
+}
+
+
 def test_subcommands_start_without_dataclasses(tmp_path):
     # dataclasses imports inspect, ast, dis and tokenize: about 25 ms of
-    # every process.  Each command runs as `python -m holoset` does, in a
-    # fresh interpreter; modules loaded before holoset ran do not count.
+    # every process; json about 2 ms of the commands that write no JSON,
+    # and csv about 1 ms of those that read no CSV.  Each command runs as
+    # `python -m holoset` does, in a fresh interpreter; modules loaded
+    # before holoset ran do not count.
     csv_path = str(tmp_path / "ex.csv")
     origami = write_json(tmp_path / "o.json", FOUR_SHEETS)
     pair = write_json(tmp_path / "p.json", GOLDEN_PAIR)
@@ -699,15 +738,20 @@ def test_subcommands_start_without_dataclasses(tmp_path):
         import runpy, sys
         before = set(sys.modules)
         sys.argv[0] = "holoset"
+        code = 0
         try:
             runpy.run_module("holoset", run_name="__main__", alter_sys=True)
         except SystemExit as exc:
             code = exc.code
-        loaded = {"dataclasses", "inspect"} & (set(sys.modules) - before)
-        print(sorted(loaded), file=sys.stderr)
-        sys.exit(3 if loaded else code)
+        loaded = set(sys.modules) - before
+        print(repr(sorted(m for m in loaded if m.startswith("holoset")
+                          or m in ("dataclasses", "inspect", "json", "csv"))),
+              file=sys.stderr)
+        sys.exit(code)
         """
     )
+    reads_or_writes_json = {"enumerate", "hole", "diagnose", "close-pair"}
+    reads_csv = {"plot", "diagnose"}
     for argv in commands:
         proc = subprocess.run(
             [sys.executable, "-c", script, *argv],
@@ -717,6 +761,13 @@ def test_subcommands_start_without_dataclasses(tmp_path):
         )
         assert proc.returncode == 0, (argv, proc.stderr)
         assert proc.stdout or "--out" in argv, argv
+        loaded = set(ast.literal_eval(proc.stderr.splitlines()[-1]))
+        assert not loaded & {"dataclasses", "inspect"}, argv
+        assert {m for m in loaded if m.startswith("holoset")} == LAYER_MODULES, argv
+        if argv[0] not in reads_or_writes_json:
+            assert "json" not in loaded, argv
+        if argv[0] not in reads_csv:
+            assert "csv" not in loaded, argv
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 from fractions import Fraction
 from math import gcd, isqrt, pi
 
@@ -16,7 +17,7 @@ from holoset.coprime import (
     solve_crt,
     verify_hole,
 )
-from holoset.exact import point
+from holoset.exact import PointSet, point
 
 
 def mobius_visible_count(R: int) -> int:
@@ -84,6 +85,33 @@ def test_fractional_radius_is_exact():
     ps = coprime_points(Fraction(5, 2))
     assert point(2, 1) in ps
     assert point(2, 2) not in ps
+
+
+def _shuffled_point_set(pts, seed: int) -> PointSet:
+    pts = list(pts)
+    random.Random(seed).shuffle(pts)
+    return PointSet(pts)
+
+
+@pytest.mark.parametrize("radius", [Fraction(1), Fraction(6), Fraction(53, 5)])
+@pytest.mark.parametrize("max_gcd", [1, 2, 3, 4])
+def test_columns_equal_the_points_path(max_gcd, radius):
+    # the filter hands its columns to PointSet as they are; the same
+    # points, built one by one and shuffled, must canonicalise to them
+    ps = gcd_filtered_points(max_gcd, radius)
+    r = int(radius)
+    expected = _shuffled_point_set(
+        (
+            point(p, q)
+            for p in range(-r, r + 1)
+            for q in range(-r, r + 1)
+            if (p or q) and p * p + q * q <= radius**2 and gcd(p, q) <= max_gcd
+        ),
+        seed=max_gcd,
+    )
+    assert ps == expected
+    assert ps.points == expected.points
+    assert ps.tags == expected.tags == (None,) * len(ps)
 
 
 def test_first_primes_above():

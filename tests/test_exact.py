@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import io
 import math
 import random
@@ -757,11 +758,33 @@ def test_pointset_matches_reference_on_shuffled_input(xs, ys):
                 x, y = _fresh(x), _fresh(y)
             pts.append(PlanarPoint(x, y, rng.choice([None, "a", "b", "c"])))
         rng.shuffle(pts)
-        got = PointSet(pts).points
-        want = _reference_points(pts)
-        assert len(got) == len(want)
-        # the very objects, so the kept duplicate and its tag agree too
-        assert all(g is w for g, w in zip(got, want))
+        inputs = [pts]
+        if all(p.x.is_rational and p.y.is_rational for p in pts):
+            inputs += _presorted_inputs(rng, _reference_points(pts))
+        for given in inputs:
+            got = PointSet(given).points
+            want = _reference_points(given)
+            assert len(got) == len(want)
+            # the very objects, so the kept duplicate and its tag agree too
+            assert all(g is w for g, w in zip(got, want))
+
+
+def _presorted_inputs(rng, increasing: list[PlanarPoint]) -> list[list]:
+    """Inputs that are in canonical order already, or nearly: the strictly
+    increasing points themselves, the same with equal-value duplicates
+    carrying other tags next to some of them, and the points with one
+    adjacent pair swapped."""
+    with_duplicates = []
+    for p in increasing:
+        with_duplicates.append(p)
+        for _ in range(rng.choice([0, 0, 1, 2])):
+            twin = PlanarPoint(_fresh(p.x), _fresh(p.y), rng.choice([None, "a", "z"]))
+            with_duplicates.insert(len(with_duplicates) - rng.randint(0, 1), twin)
+    swapped = list(increasing)
+    if len(swapped) > 1:
+        i = rng.randrange(len(swapped) - 1)
+        swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+    return [list(increasing), with_duplicates, swapped]
 
 
 def _reference_csv(ps: PointSet) -> str:
@@ -797,6 +820,71 @@ def test_csv_writer_matches_per_row_reference():
         buf = io.StringIO()
         write_pointset_csv(ps, buf)
         assert buf.getvalue() == _reference_csv(ps)
+
+
+def _written(ps: PointSet) -> str:
+    buf = io.StringIO()
+    write_pointset_csv(ps, buf)
+    return buf.getvalue()
+
+
+def _csv_writer_text(ps: PointSet) -> str:
+    """The rows as csv.writer writes them."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["x_exact", "y_exact", "x_float", "y_float", "tag"])
+    for p in ps:
+        w.writerow([format_quadext(p.x), format_quadext(p.y),
+                    format(float(p.x), ".12g"), format(float(p.y), ".12g"),
+                    p.tag or ""])
+    return buf.getvalue()
+
+
+def _read_tags(ps: PointSet) -> list:
+    """The tags read_pointset_csv gives back: stripped, and None if empty."""
+    return [(p.tag or "").strip() or None for p in ps]
+
+
+@pytest.mark.parametrize(
+    "tag",
+    ["a,b", 'say "hi"', '"', "two\nlines", " lead", "trail ", "  both  ", " ",
+     "", ",\n\"", "plain"],
+)
+def test_csv_writer_quotes_free_form_tags_as_csv_writer(tag):
+    ps = PointSet([
+        PlanarPoint(QuadExt(-1, 1, 2), QuadExt(3), tag),
+        point(0, Fraction(1, 3), "UV"),
+        point(2, 0),
+    ])
+    text = _written(ps)
+    assert text == _csv_writer_text(ps)
+    back = read_pointset_csv(io.StringIO(text))
+    assert back == ps and back.points == ps.points
+    assert [p.tag for p in back] == _read_tags(ps)
+
+
+@pytest.mark.parametrize("tag", ["cr\rhere", "\r", "crlf\r\nend", "a,\rb"])
+def test_csv_writer_quotes_carriage_returns(tag):
+    # Python 3.11's csv.writer leaves a bare \r unquoted under a "\n"
+    # terminator, and csv.reader then splits the row there
+    ps = PointSet([point(1, 2, tag), point(3, 4)])
+    text = _written(ps)
+    quoted = '"' + tag.replace('"', '""') + '"'
+    assert text.splitlines(keepends=True)[0] == "x_exact,y_exact,x_float,y_float,tag\n"
+    assert text.endswith(f"1,2,1,2,{quoted}\n3,4,3,4,\n")
+    back = read_pointset_csv(io.StringIO(text))
+    assert back == ps and [p.tag for p in back] == _read_tags(ps)
+
+
+def test_pointset_from_columns_builds_points_on_access():
+    ps = gcd_filtered_points(2, Fraction(7, 2))
+    assert ps._points is None
+    pts = ps.points
+    assert ps.points is pts and list(ps) == list(pts) and ps[3] is pts[3]
+    assert [(p.x, p.y, p.tag) for p in pts] == list(zip(ps.xs, ps.ys, ps.tags))
+    # the columns share one lifted QuadExt per integer
+    assert len({id(u) for u in ps.xs + ps.ys}) == 7
+    assert point(-3, 1) in ps and point(2, 2) in ps and point(0, 0) not in ps
 
 
 def test_pointset_membership_and_negation():

@@ -9,7 +9,7 @@ from math import gcd
 import pytest
 
 from holoset.coprime import coprime_points
-from holoset.exact import point
+from holoset.exact import PointSet, point
 from holoset.origami import (
     Direction,
     DisconnectedSurfaceError,
@@ -271,3 +271,15 @@ def test_holonomy_gcd_bounded_random_origamis():
             g = gcd(abs(x), abs(y))
             assert 1 <= g <= n
             assert gcd(abs(x) // g if x else 0, abs(y) // g if y else 0) <= 1
+
+
+@pytest.mark.parametrize("marked", [False, True])
+@pytest.mark.parametrize("o", [ORIG3, ORIG4, ORIG5, ORIG6], ids=["3", "4", "5", "6"])
+def test_enumerate_equals_its_points_shuffled(o, marked):
+    ps = enumerate_holonomies(o, 9, marked=marked)
+    pts = [point(p.x, p.y, p.tag) for p in ps]
+    random.Random(len(pts)).shuffle(pts)
+    again = PointSet(pts)
+    assert ps == again
+    assert ps.points == again.points
+    assert ps.tags == again.tags
