@@ -12,8 +12,8 @@ only in reported distances, with error bounds attached.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, gcd, isqrt
-from typing import Iterator, NamedTuple, Optional, Union
+from math import ceil, isqrt
+from typing import Iterator, NamedTuple, Union
 
 from .exact import (
     FieldMismatchError,
@@ -28,7 +28,6 @@ from .exact import (
     parse_quadext,
     sqrt_bounds_frac,
     sqrt_with_error,
-    squarefree_split,
 )
 
 class RatioRationalError(ValueError):
@@ -60,68 +59,6 @@ class ConfigError(ValueError):
     """Malformed cylinder-pair configuration."""
 
 
-class QuadIrrational(Immutable):
-    """The quadratic irrational (P + sqrt(D)) / Q with Q | (D - P*P).
-
-    Stored reduced.  Q keeps its sign: values such as 3 - sqrt(2) only
-    admit this shape with a negative denominator.  d is the squarefree
-    part of D, so D = C*C*d for an integer C; a caller that knows it
-    passes it (``from_quadext`` does; only D = C*C*d is checked), since
-    factoring a large D by trial division would not finish.  Equality
-    and hash use (P, D, Q).
-    """
-
-    __slots__ = ("P", "D", "Q", "d")
-
-    P: int
-    D: int
-    Q: int
-    d: int
-
-    def __init__(self, P: int, D: int, Q: int, d: Optional[int] = None):
-        if Q == 0:
-            raise ValueError("Q must be nonzero")
-        if D <= 0 or isqrt(D) ** 2 == D:
-            raise ValueError("D must be positive and not a perfect square")
-        if d is None:
-            d = squarefree_split(D)[1]
-        elif d < 1 or D % d or isqrt(D // d) ** 2 != D // d:
-            raise ValueError("d must be the squarefree part of D")
-        if (D - P * P) % Q != 0:
-            s = abs(Q)
-            P, D, Q = P * s, D * s * s, Q * s
-        # dividing by e keeps Q | D - P*P exactly when e divides P, Q and
-        # N = (D - P*P) / Q: D/e^2 - (P/e)^2 = (Q/e)(N/e), and e*e divides
-        # D = Q*N + P*P.  The largest such e is their gcd.
-        e = gcd(P, Q, (D - P * P) // Q)
-        object.__setattr__(self, "P", P // e)
-        object.__setattr__(self, "D", D // (e * e))
-        object.__setattr__(self, "Q", Q // e)
-        object.__setattr__(self, "d", d)
-
-    def _values(self) -> tuple:
-        return self.P, self.D, self.Q
-
-    @classmethod
-    def from_quadext(cls, x: QuadExt) -> "QuadIrrational":
-        if not x.B:
-            raise ValueError("value is rational")
-        D = x.B * x.B * x.d
-        if x.B > 0:
-            return cls(x.A, D, x.q, x.d)
-        return cls(-x.A, D, -x.q, x.d)
-
-    def to_quadext(self) -> QuadExt:
-        C = isqrt(self.D // self.d)
-        return QuadExt(Fraction(self.P, self.Q), Fraction(C, self.Q), self.d)
-
-    def __float__(self) -> float:
-        return self.to_quadext().to_float()[0]
-
-    def floor(self) -> int:
-        return floor_surd(self.P, isqrt(self.D), self.Q)
-
-
 class ContinuedFraction(Immutable):
     """Eventually periodic expansion [a0; preperiod, (period repeating)]."""
 
@@ -149,9 +86,20 @@ class ContinuedFraction(Immutable):
             yield from self.period
 
 
-def cf_expand(x: QuadIrrational, max_terms: int = 1000) -> ContinuedFraction:
-    """Expand by the (P, Q) recurrence until the state repeats."""
-    P, D, Q = x.P, x.D, x.Q
+def cf_expand(x: QuadExt, max_terms: int = 1000) -> ContinuedFraction:
+    """Expand x = (A + B*sqrt(d))/q = (P + sqrt(D))/Q by the (P, Q)
+    recurrence until the state repeats: (P, D, Q) = (A, B*B*d, q), negated
+    P and Q when B < 0, all scaled by |Q| (D by Q*Q) unless Q | D - P*P.
+    Nothing is reduced or factored: scaling (P, D, Q) by e scales every
+    later state by e and leaves the quotients and the repeat as they are.
+    """
+    if x.is_rational:
+        raise ValueError("value is rational")
+    P, D, Q = x.A, x.B * x.B * x.d, x.q
+    if x.B < 0:
+        P, Q = -P, -Q
+    if (D - P * P) % Q:
+        P, D, Q = P * abs(Q), D * Q * Q, Q * abs(Q)
     s = isqrt(D)
     seen: dict[tuple[int, int], int] = {}
     quotients: list[int] = []
@@ -194,10 +142,7 @@ def _round_half_up(x: QuadExt) -> int:
 
 
 def inhom_approx(
-    lam: QuadIrrational,
-    c: Union[RationalLike, QuadExt],
-    eps,
-    max_terms: int = 1000,
+    lam: QuadExt, c: Union[RationalLike, QuadExt], eps
 ) -> tuple[int, int]:
     """Integers (m, mp) with |c + m - mp*lambda| < eps, verified exactly.
 
@@ -205,26 +150,25 @@ def inhom_approx(
     multiple j of delta = q*lambda - p nearest to c: |delta| < 1/q <= eps/2,
     so the residual c + j*p - j*q*lambda = c - j*delta is at most
     |delta|/2 < eps/4.  An exact check confirms it (else
-    ApproximationSearchError); max_terms bounds the expansion of lambda.
+    ApproximationSearchError).
     """
     eps = as_positive(eps, "eps")
-    lam_q = lam.to_quadext()
     c_q = as_quad(c)
-    if c_q.b != 0 and c_q.d != lam_q.d:
+    if c_q.B and c_q.d != lam.d:
         raise FieldMismatchError(
             "offset must be rational or lie in the field of lambda"
         )
     if not c_q:
         return 0, 0
-    cf = cf_expand(lam, max_terms)
+    cf = cf_expand(lam)
     target = ceil(2 / eps)
     for p, q in convergents(cf):
         if q >= target:
             break
-    delta = lam_q * q - p
+    delta = lam * q - p
     j = _round_half_up(c_q / delta)
     m, mp = j * p, j * q
-    res = c_q + m - lam_q * mp
+    res = c_q + m - lam * mp
     if (res * res).compare(eps * eps) >= 0:
         raise ApproximationSearchError(
             "approximation check failed: |c + m - mp*lambda| >= eps"
@@ -311,7 +255,7 @@ def close_pair(ci: Cylinder, cj: Cylinder, r) -> ClosePairResult:
     mid, err = ll.approx(64)
     ell_hi = sqrt_bounds_frac(mid + err)[1]
     eps = r / (2 * ell_hi)
-    m, mp = inhom_approx(QuadIrrational.from_quadext(lam_q), c, eps)
+    m, mp = inhom_approx(lam_q, c, eps)
     n0 = m
     n0p = mp if mu.sign() > 0 else -mp
     v1 = (h[0] + n0 * l[0], h[1] + n0 * l[1])
@@ -324,12 +268,11 @@ def close_pair(ci: Cylinder, cj: Cylinder, r) -> ClosePairResult:
     return ClosePairResult(n0, n0p, v1, v2, dist, dist_err)
 
 
-def _parse_vec(obj, key: str) -> Vec:
-    try:
-        sx, sy = obj[key]
-    except (KeyError, TypeError, ValueError):
-        raise ConfigError(f"missing or malformed vector {key!r}") from None
-    return parse_quadext(str(sx)), parse_quadext(str(sy))
+def _parse_vec(obj: dict, key: str) -> Vec:
+    v = obj.get(key)
+    if not isinstance(v, list) or len(v) != 2:
+        raise ConfigError(f"missing or malformed vector {key!r}")
+    return parse_quadext(str(v[0])), parse_quadext(str(v[1]))
 
 
 def _parse_width(obj, key: str) -> Fraction:

@@ -93,6 +93,16 @@ def solve_crt(residues: list[int], moduli: list[int]) -> int:
     return x % m
 
 
+def _json_int(v) -> int:
+    """An int that is no bool, or the decimal string ``to_json_dict``
+    writes: ``int()`` would read 2.5 as 2 and true as 1."""
+    if isinstance(v, str) and v.isascii() and v.lstrip("-").isdigit():
+        return int(v)
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    raise TypeError(f"not an integer: {v!r}")
+
+
 class HoleCertificate(NamedTuple):
     """Witness of an R-ball free of gcd <= N points.
 
@@ -134,15 +144,16 @@ class HoleCertificate(NamedTuple):
     @classmethod
     def from_json_dict(cls, data: dict) -> "HoleCertificate":
         try:
-            n = int(data["n"])
-            primes = tuple(tuple(int(p) for p in row) for row in data["primes"])
+            rows = data["primes"]
+            if not all(isinstance(r, list) for r in (rows, *rows)):
+                raise TypeError("primes must be a list of lists")
             return cls(
-                max_gcd=int(data["max_gcd"]),
+                max_gcd=_json_int(data["max_gcd"]),
                 radius=Fraction(data["radius"]),
-                n=n,
-                primes=primes,
-                x=int(data["x"]),
-                y=int(data["y"]),
+                n=_json_int(data["n"]),
+                primes=tuple(tuple(map(_json_int, row)) for row in rows),
+                x=_json_int(data["x"]),
+                y=_json_int(data["y"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise CertificateError(f"malformed certificate: {exc}") from exc

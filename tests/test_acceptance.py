@@ -17,7 +17,7 @@ import pytest
 from mpmath import mp
 
 from holoset.cli import main as cli_main
-from holoset.close_pair import Cylinder, QuadIrrational, close_pair, inhom_approx
+from holoset.close_pair import Cylinder, close_pair, inhom_approx
 from holoset.coprime import (
     coprime_points,
     crt_hole,
@@ -204,7 +204,7 @@ def test_criterion_09_inhom_approx_soundness():
         d = rng.choice(squarefree)
         p = rng.randint(-15, 15)
         q = rng.choice([v for v in range(-8, 9) if v])
-        lam = QuadIrrational(p, d, q)
+        lam = QuadExt(Fraction(p, q), Fraction(1, q), d)
         den = rng.randint(2, 60)
         c = Fraction(rng.randint(1, den - 1), den)
         m, mprime = inhom_approx(lam, c, eps)
@@ -223,8 +223,7 @@ def test_criterion_09_inhom_approx_soundness():
                     best_err, best_pair = err, (round(t), j)
             assert best_err < 1e-2
             mb, mpb = best_pair
-            lam_q = lam.to_quadext()
-            exact = c + mb - lam_q * mpb
+            exact = c + mb - lam * mpb
             assert (exact * exact).compare(Fraction(1, 10**4)) < 0
     assert brute_runs == 10
 

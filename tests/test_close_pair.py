@@ -16,7 +16,6 @@ from holoset.close_pair import (
     ContinuedFraction,
     Cylinder,
     IncompleteExpansionError,
-    QuadIrrational,
     RatioRationalError,
     WidthPreconditionError,
     cf_expand,
@@ -25,106 +24,24 @@ from holoset.close_pair import (
     inhom_approx,
     load_cylinder_pair,
 )
+from holoset import exact
 from holoset.exact import FieldMismatchError, QuadExt
 
-SQRT2 = QuadIrrational(0, 2, 1)
-SQRT3 = QuadIrrational(0, 3, 1)
-GOLDEN = QuadIrrational(1, 5, 2)
+SQRT2 = QuadExt(0, 1, 2)
+SQRT3 = QuadExt(0, 1, 3)
+GOLDEN = QuadExt(Fraction(1, 2), Fraction(1, 2), 5)
 
 
-def mp_value(x: QuadIrrational):
+def mp_value(x: QuadExt):
     mpmath.mp.prec = 150
-    return (x.P + mpmath.sqrt(x.D)) / x.Q
-
-
-# -- QuadIrrational ------------------------------------------------------
-
-
-def test_quad_irrational_validation():
-    square = "^D must be positive and not a perfect square$"
-    with pytest.raises(ValueError, match=square):
-        QuadIrrational(0, 4, 1)
-    with pytest.raises(ValueError, match=square):
-        QuadIrrational(0, -2, 1)
-    with pytest.raises(ValueError, match="^Q must be nonzero$"):
-        QuadIrrational(1, 2, 0)
-
-
-def test_quad_irrational_divisibility_normalization():
-    x = QuadIrrational(1, 2, 3)
-    assert (x.D - x.P * x.P) % x.Q == 0
-    assert float(x) == pytest.approx((1 + 2 ** 0.5) / 3)
-
-
-def test_quad_irrational_reduction():
-    x = QuadIrrational(2, 8, 2)
-    assert (x.P, x.D, x.Q) == (1, 2, 1)
-
-
-def reduce_by_search(P, D, Q):
-    """The reduction by trial of every divisor e of gcd(P, Q), largest
-    first: the reference the one-gcd reduction must match."""
-    if (D - P * P) % Q != 0:
-        s = abs(Q)
-        P, D, Q = P * s, D * s * s, Q * s
-    g = math.gcd(P, Q)
-    for e in range(g, 1, -1):
-        if g % e == 0 and D % (e * e) == 0:
-            if (D // (e * e) - (P // e) ** 2) % (Q // e) == 0:
-                return P // e, D // (e * e), Q // e
-    return P, D, Q
-
-
-def test_quad_irrational_reduction_matches_the_divisor_search():
-    rng = random.Random(7)
-    for _ in range(2000):
-        d = rng.choice([2, 3, 5, 6, 7, 10, 13])
-        D = rng.randint(1, 30) ** 2 * d
-        P, Q = rng.randint(-60, 60), rng.choice([-1, 1]) * rng.randint(1, 60)
-        x = QuadIrrational(P, D, Q)
-        assert (x.P, x.D, x.Q) == reduce_by_search(P, D, Q), (P, D, Q)
-        assert x.d == d
-
-
-def test_quad_irrational_keeps_the_field_radicand():
-    # D = 1000000007**2 * 2 has no factorisation by trial division in
-    # reasonable time, nor has gcd(P, Q) = 1000000007**2 a divisor search
-    for q in (QuadExt(0, 1000000007, 2), QuadExt(0, Fraction(1, 1000000007), 2)):
-        x = QuadIrrational.from_quadext(q)
-        assert x.d == 2
-        assert x.to_quadext() == q
-    with pytest.raises(ValueError, match="^d must be the squarefree part of D$"):
-        QuadIrrational(0, 8, 1, 3)
-
-
-def test_quad_irrational_is_an_immutable_value():
-    x = QuadIrrational(2, 8, 2)
-    assert x == QuadIrrational(1, 2, 1) and hash(x) == hash(QuadIrrational(1, 2, 1))
-    assert x != SQRT2 and SQRT2 != (0, 2, 1)
-    for name in ("P", "D", "Q", "d", "R"):
-        with pytest.raises(AttributeError):
-            setattr(SQRT2, name, 1)
-
-
-def test_from_quadext_round_trip():
-    for q in (
-        QuadExt(0, 1, 2),
-        QuadExt(Fraction(1, 2), Fraction(1, 2), 5),
-        QuadExt(3, -1, 2),
-        QuadExt(Fraction(-2, 3), Fraction(5, 7), 11),
-    ):
-        x = QuadIrrational.from_quadext(q)
-        assert x.to_quadext() == q
-        assert (x.D - x.P * x.P) % x.Q == 0
-    with pytest.raises(ValueError):
-        QuadIrrational.from_quadext(QuadExt(Fraction(3, 4)))
+    return (x.A + x.B * mpmath.sqrt(x.d)) / x.q
 
 
 def test_floor():
     assert SQRT2.floor() == 1
     assert GOLDEN.floor() == 1
-    assert QuadIrrational.from_quadext(QuadExt(3, -1, 2)).floor() == 1
-    assert QuadIrrational.from_quadext(QuadExt(0, -1, 2)).floor() == -2
+    assert QuadExt(3, -1, 2).floor() == 1
+    assert QuadExt(0, -1, 2).floor() == -2
 
 
 # -- continued fractions -------------------------------------------------
@@ -137,13 +54,64 @@ def test_cf_expand_classics():
 
 
 def test_cf_expand_with_preperiod():
-    x = QuadIrrational.from_quadext(QuadExt(3, -1, 2))
-    assert cf_expand(x) == ContinuedFraction(1, (1, 1), (2,))
+    assert cf_expand(QuadExt(3, -1, 2)) == ContinuedFraction(1, (1, 1), (2,))
 
 
 def test_cf_expand_budget():
     with pytest.raises(IncompleteExpansionError):
         cf_expand(SQRT3, max_terms=2)
+
+
+def complete_quotients(x: QuadExt, n: int) -> list[QuadExt]:
+    """x_0 = x and x_{i+1} = 1/(x_i - floor(x_i)), by exact field
+    arithmetic: the reference the (P, Q) recurrence must match."""
+    xs = [x]
+    for _ in range(n - 1):
+        xs.append((xs[-1] - xs[-1].floor()).inverse())
+    return xs
+
+
+def test_cf_expand_matches_the_exact_iteration():
+    """Through a0, the preperiod and two periods, the quotients are the
+    floors of the complete quotients; the period is the least one and
+    starts no later than it must.  (P + sqrt(D))/Q with Q < 0 has B < 0,
+    and D = f*f*d puts a square factor in the radicand."""
+    rng = random.Random(1618)
+    negative = square = 0
+    for _ in range(2000):
+        f = rng.randint(1, 6)
+        D = f * f * rng.choice((2, 3, 5, 6, 7, 10, 11, 13))
+        P, Q = rng.randint(-50, 50), rng.choice((-1, 1)) * rng.randint(1, 50)
+        x = QuadExt(Fraction(P, Q), Fraction(1, Q), D)
+        negative += x.B < 0
+        square += f > 1
+        cf = cf_expand(x)
+        k, p = 1 + len(cf.preperiod), len(cf.period)
+        xs = complete_quotients(x, k + 2 * p)
+        assert list(islice(cf.terms(), k + 2 * p)) == [v.floor() for v in xs], x
+        assert xs[k] == xs[k + p] and len(set(xs[k : k + p])) == p, x
+        assert not cf.preperiod or xs[k - 1] != xs[k - 1 + p], x
+    assert negative > 500 and square > 500
+
+
+def test_cf_expand_rejects_a_rational():
+    for x in (QuadExt(Fraction(3, 4)), QuadExt(0, 1, 4)):
+        with pytest.raises(ValueError, match="^value is rational$"):
+            cf_expand(x)
+
+
+def test_cf_expand_never_factors_the_radicand(monkeypatch):
+    # D = 1000000007**2 * 2 has no factorisation by trial division in
+    # reasonable time; the expansion takes B and d as they are stored
+    xs = (QuadExt(0, 1000000007, 2), QuadExt(0, Fraction(1, 1000000007), 2))
+
+    def refuse(n):
+        raise AssertionError(f"factored {n}")
+
+    monkeypatch.setattr(exact, "squarefree_split", refuse)
+    for x in xs:
+        with pytest.raises(IncompleteExpansionError):
+            cf_expand(x, max_terms=50)
 
 
 def test_cf_validation():
@@ -158,7 +126,7 @@ def test_cf_validation():
 
 def test_cf_is_an_immutable_value():
     cf = ContinuedFraction(1, (1, 1), (2,))
-    assert cf == cf_expand(QuadIrrational.from_quadext(QuadExt(3, -1, 2)))
+    assert cf == cf_expand(QuadExt(3, -1, 2))
     assert hash(cf) == hash(ContinuedFraction(1, (1, 1), (2,)))
     assert cf != ContinuedFraction(1, (1,), (1, 2))
     assert repr(cf) == "ContinuedFraction(a0=1, preperiod=(1, 1), period=(2,))"
@@ -182,16 +150,21 @@ def test_convergents_golden_fibonacci():
 
 @pytest.mark.parametrize(
     "lam",
-    [SQRT2, SQRT3, GOLDEN, QuadIrrational(1, 7, 3), QuadIrrational(-3, 19, 5)],
+    [
+        SQRT2,
+        SQRT3,
+        GOLDEN,
+        QuadExt(Fraction(1, 3), Fraction(1, 3), 7),
+        QuadExt(Fraction(-3, 5), Fraction(1, 5), 19),
+    ],
 )
 def test_convergent_quality(lam):
-    lam_q = lam.to_quadext()
     cs = list(islice(convergents(cf_expand(lam)), 10))
     prev = None
     for i in range(9):
         p, q = cs[i]
         q_next = cs[i + 1][1]
-        delta = lam_q * q - p
+        delta = lam * q - p
         # |lambda - p/q| < 1/(q * q_next), exactly
         assert (delta * delta * (q_next * q_next)).compare(1) < 0
         if prev is not None:
@@ -202,10 +175,9 @@ def test_convergent_quality(lam):
 # -- inhomogeneous approximation -----------------------------------------
 
 
-def exact_residual(lam: QuadIrrational, c, m: int, mp_: int) -> QuadExt:
-    lam_q = lam.to_quadext()
+def exact_residual(lam: QuadExt, c, m: int, mp_: int) -> QuadExt:
     c_q = c if isinstance(c, QuadExt) else QuadExt(Fraction(c))
-    return c_q + m - lam_q * mp_
+    return c_q + m - lam * mp_
 
 
 def test_inhom_zero_offset():
@@ -266,10 +238,9 @@ def test_inhom_random_instances():
         P = rng.randint(-9, 9)
         D = rng.randint(2, 120)
         Q = rng.randint(1, 9)
-        try:
-            lam = QuadIrrational(P, D, Q)
-        except ValueError:
+        if math.isqrt(D) ** 2 == D:
             continue
+        lam = QuadExt(Fraction(P, Q), Fraction(1, Q), D)
         c = Fraction(rng.randint(1, 999), 1000)
         eps = Fraction(1, 10 ** 4)
         m, mp_ = inhom_approx(lam, c, eps)
@@ -288,11 +259,11 @@ def test_inhom_greedy_step_lands_within_a_quarter_of_eps():
     rng = random.Random(1414)
     done = 0
     while done < 1200:
-        try:
-            Q = rng.choice((-1, 1)) * rng.randint(1, 12)
-            lam = QuadIrrational(rng.randint(-40, 40), rng.randint(2, 400), Q)
-        except ValueError:
+        Q = rng.choice((-1, 1)) * rng.randint(1, 12)
+        P, D = rng.randint(-40, 40), rng.randint(2, 400)
+        if math.isqrt(D) ** 2 == D:
             continue
+        lam = QuadExt(Fraction(P, Q), Fraction(1, Q), D)
         c = Fraction(rng.randint(-(10**6), 10**6), rng.randint(1, 10**6))
         if done % 2:
             c = QuadExt(c, Fraction(rng.randint(-999, 999), rng.randint(1, 999)), lam.d)
@@ -470,6 +441,11 @@ def test_load_cylinder_pair_errors(tmp_path):
     bad["h"] = ["1/3", "nonsense"]
     with pytest.raises(ConfigError):
         load_cylinder_pair(bad)
+    # a vector is a JSON array of two entries, not any iterable of two
+    for vec in ("10", {"1": 0, "0": 1}, ["1"], ["1", "0", "0"], None):
+        bad = dict(CONFIG, l=vec)
+        with pytest.raises(ConfigError, match="^missing or malformed vector 'l'$"):
+            load_cylinder_pair(bad)
     bad = dict(CONFIG)
     bad["w"] = "1/49"
     with pytest.raises(ConfigError):

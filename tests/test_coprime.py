@@ -210,6 +210,37 @@ def test_malformed_certificate_raises():
         HoleCertificate.from_json_dict({"n": 2})
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("x", 119740619.9),
+        ("x", "119740619.9"),
+        ("y", " 12"),
+        ("n", 2.5),
+        ("n", True),
+        ("max_gcd", False),
+        ("primes", [[2.0, 3], [5, 7]]),
+        ("primes", ["23", "57"]),
+        ("primes", "2357"),
+    ],
+)
+def test_certificate_fields_are_read_as_written(field, value):
+    """JSON numbers that are no ints, bools and rows that are no lists are
+    refused, not truncated or unpacked into another certificate."""
+    data = crt_hole(1, Fraction(1, 2)).to_json_dict()
+    data[field] = value
+    with pytest.raises(CertificateError, match="^malformed certificate: "):
+        HoleCertificate.from_json_dict(data)
+
+
+def test_certificate_reads_ints_and_integer_strings():
+    cert = crt_hole(1, Fraction(1, 2))
+    data = cert.to_json_dict()
+    data.update(x=cert.x, y=str(cert.y), n=str(cert.n), max_gcd="1")
+    data["primes"] = [[str(p) for p in row] for row in cert.primes]
+    assert HoleCertificate.from_json_dict(data) == cert
+
+
 def test_ball_is_actually_empty_of_small_gcd_points():
     cert = crt_hole(1, 1)
     cx, cy = cert.center

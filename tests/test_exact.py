@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holoset.close_pair import Cylinder, QuadIrrational, close_pair, inhom_approx
+from holoset.close_pair import Cylinder, close_pair, inhom_approx
 from holoset.coprime import crt_hole, gcd_filtered_points
 from holoset.diagnostics import covering_radius
 from holoset.double_cover import closed_form, geometric_oracle
@@ -957,7 +957,7 @@ POSITIVE_ARGS = [
         Cylinder((QuadExt(0, 1, 2), 0), (0, Fraction(1, 50)), Fraction(1, 50)),
         x,
     )),
-    ("eps", lambda x: inhom_approx(QuadIrrational(0, 2, 1), Fraction(1, 3), x)),
+    ("eps", lambda x: inhom_approx(QuadExt(0, 1, 2), Fraction(1, 3), x)),
     ("resolution", lambda x: covering_radius(gcd_filtered_points(1, 2), (0, 0, 1, 1), x)),
     ("width", lambda x: Cylinder((1, 0), (0, x), x)),
 ]
