@@ -103,6 +103,16 @@ def _json_int(v) -> int:
     raise TypeError(f"not an integer: {v!r}")
 
 
+def _json_fraction(v) -> Fraction:
+    """An int that is no bool, or the "p" or "p/q" text ``to_json_dict``
+    writes: ``Fraction()`` would read true as 1 and 0.7 in binary."""
+    if isinstance(v, str) and v.count("/") == 1:
+        num, den = v.split("/")
+        if den.isascii() and den.isdigit():
+            return Fraction(_json_int(num), int(den))  # ZeroDivisionError on /0
+    return Fraction(_json_int(v))
+
+
 class HoleCertificate(NamedTuple):
     """Witness of an R-ball free of gcd <= N points.
 
@@ -149,13 +159,13 @@ class HoleCertificate(NamedTuple):
                 raise TypeError("primes must be a list of lists")
             return cls(
                 max_gcd=_json_int(data["max_gcd"]),
-                radius=Fraction(data["radius"]),
+                radius=_json_fraction(data["radius"]),
                 n=_json_int(data["n"]),
                 primes=tuple(tuple(map(_json_int, row)) for row in rows),
                 x=_json_int(data["x"]),
                 y=_json_int(data["y"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise CertificateError(f"malformed certificate: {exc}") from exc
 
     def dumps(self) -> str:

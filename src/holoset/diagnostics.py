@@ -64,16 +64,21 @@ def _local_floats(points: Sequence[PlanarPoint], ox, oy) -> tuple[list, list, fl
 
     Each is ``(p.x - ox).to_float()``, shifted exactly in integers with no
     difference built, which keeps the floats accurate even when the set
-    sits at a huge offset from the origin.
+    sits at a huge offset from the origin.  The points of a set share
+    coordinate objects, so each object is shifted once per axis, in a
+    dict per axis keyed by id and local to the call: the points keep
+    every object alive while it runs, and one object can be an x and a y.
     """
     ox, oy = as_quad(ox), as_quad(oy)
+    mx: dict[int, tuple[float, float]] = {}
+    my: dict[int, tuple[float, float]] = {}
     xs: list[float] = []
     ys: list[float] = []
     worst = 0.0
     for p in points:
         try:
-            fx, ex = _shifted_float(p.x, ox)
-            fy, ey = _shifted_float(p.y, oy)
+            fx, ex = mx.get(id(p.x)) or mx.setdefault(id(p.x), _shifted_float(p.x, ox))
+            fy, ey = my.get(id(p.y)) or my.setdefault(id(p.y), _shifted_float(p.y, oy))
         except OverflowError:
             raise FloatRangeError(p) from None
         xs.append(fx)
@@ -224,7 +229,10 @@ def covering_radius(
     block lies within g + f of the representative, f its distance to
     the farthest corner: only those points go on to the block's four
     children, with a 2^-40 relative margin for the rounding of
-    distances and 2^-500 for a square that underflows.
+    distances and 2^-500 for a square that underflows.  Each child gets
+    its own g, from the same nearest point to the child's farthest
+    corner, and is not kept when that cannot beat the distance found so
+    far.
     """
     points = ps.points
     if not points:
@@ -273,8 +281,13 @@ def covering_radius(
             r2 = r * r
             near = [p for p, s in zip(cand, sq) if s <= r2]
             for kx in range(ax, bx + 1, half):
+                # each child's own bound g: _corner_dist from (x, y) to its box
+                dx = max(x - kx * resf, (min(kx + half, nx) - 1) * resf - x)
                 for ky in range(ay, by + 1, half):
-                    children.append((kx, ky, bound, near))
+                    dy = max(y - ky * resf, (min(ky + half, ny) - 1) * resf - y)
+                    g = math.sqrt(dx * dx + dy * dy)
+                    if (g, -(kx * ny + ky)) > top:
+                        children.append((kx, ky, g, near))
         level, side = children, half
     best, best_lin = top[0], -top[1]
     cx = x0 + (best_lin // ny) * res

@@ -101,10 +101,11 @@ def closed_form(shift: Optional[ShiftVector], radius) -> PointSet:
     uu = coprime_points(R)
     pts = [PlanarPoint(x, y, TAG_UU) for x, y in zip(uu.xs, uu.ys)]
     for sx, sy, tag in ((tx, ty, TAG_UV), (-tx, -ty, TAG_VU)):
+        # each b + sy once per family, shared by the points of its rows
+        ys = {b: b + sy for b in _int_range(-R - sy - 1, R - sy + 1)}
         for a in _int_range(-R - sx - 1, R - sx + 1):
             x = a + sx
-            for b in _ball_row(x, sy, R2):
-                pts.append(PlanarPoint(x, b + sy, tag))
+            pts.extend(PlanarPoint(x, ys[b], tag) for b in _ball_row(x, sy, R2))
     return PointSet(pts)
 
 

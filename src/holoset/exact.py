@@ -913,16 +913,18 @@ def _canonical_order(
     A rational point's key is its pair of coordinates, each an int when it
     is an integer: ints and Fractions compare and test equal by value, so
     the keys sort lexicographically, and integer points sort as int pairs.
-    One pass builds them, and a second, in C, checks that they increase.
-    A point with a radical ends the first pass.  Then a key is the
-    componentwise (A, B, q, d) of both coordinates, which is value
-    equality since QuadExt is canonical, and a comparison sort orders the
-    points by :func:`_compare`, from integers alone: the x-coordinates
-    share one field, and so do the y-coordinates.
+    One pass builds them.  A point with a radical ends it; then a key is
+    the pair of ranks that :func:`_ranks` gives each coordinate on its
+    axis, which orders and tests equal as the values do.  Either way the
+    points are sorted by their keys in C, and not at all when a pass in C
+    finds the keys strictly increasing.
     """
     keys: list[tuple] = []
     for x, y in zip(xs, ys):
         if x.d != 1 or y.d != 1:
+            d_x = _ambient_d({u.d for u in xs}, "x")
+            d_y = _ambient_d({u.d for u in ys}, "y")
+            keys = list(zip(_ranks(xs), _ranks(ys)))
             break
         keys.append(
             (
@@ -931,17 +933,24 @@ def _canonical_order(
             )
         )
     else:
-        if all(map(lt, keys, islice(keys, 1, None))):
-            return 1, 1, keys, None
-        return 1, 1, keys, sorted(range(len(keys)), key=keys.__getitem__)
-    d_x = _ambient_d({u.d for u in xs}, "x")
-    d_y = _ambient_d({u.d for u in ys}, "y")
-    keys = [(u.A, u.B, u.q, u.d, v.A, v.B, v.q, v.d) for u, v in zip(xs, ys)]
+        d_x = d_y = 1
+    if all(map(lt, keys, islice(keys, 1, None))):
+        return d_x, d_y, keys, None
+    return d_x, d_y, keys, sorted(range(len(keys)), key=keys.__getitem__)
 
-    def cmp(i: int, j: int) -> int:
-        return _compare(xs[i], xs[j]) or _compare(ys[i], ys[j])
 
-    return d_x, d_y, keys, sorted(range(len(keys)), key=cmp_to_key(cmp))
+def _ranks(us: list[QuadExt]) -> list[int]:
+    """Each value's rank among the distinct values of us, which share one
+    field or are rational: a comparison sort by :func:`_compare`, from
+    integers alone, of each distinct value once, found once per distinct
+    object (QuadExt hashes and tests equal by value).
+    """
+    ids = list(map(id, us))
+    objs = dict(zip(ids, us))
+    ordered = sorted(set(objs.values()), key=cmp_to_key(_compare))
+    rank = {u: i for i, u in enumerate(ordered)}
+    by_id = {k: rank[u] for k, u in objs.items()}
+    return list(map(by_id.__getitem__, ids))
 
 
 # -- CSV round trip ------------------------------------------------------------
@@ -998,9 +1007,20 @@ class CsvRowError(ParseError):
 
 
 def read_pointset_csv(fileobj) -> PointSet:
+    """The set a CSV holds, read back: each distinct cell text is parsed
+    once, in a dict local to the call, so the points that share a
+    coordinate text share its QuadExt (and the float it keeps)."""
     import csv  # only the commands that read a CSV pay for it
 
     reader = csv.reader(fileobj)
+    parsed: dict[str, QuadExt] = {}
+
+    def cell(text: str) -> QuadExt:
+        u = parsed.get(text)
+        if u is None:
+            u = parsed[text] = parse_quadext(text)
+        return u
+
     pts: list[PlanarPoint] = []
     bad: list[int] = []
     reason = None
@@ -1010,8 +1030,8 @@ def read_pointset_csv(fileobj) -> PointSet:
         try:
             if len(row) < 2:
                 raise ParseError("too few columns")
-            x = parse_quadext(row[0])
-            y = parse_quadext(row[1])
+            x = cell(row[0])
+            y = cell(row[1])
             tag = row[4].strip() if len(row) >= 5 and row[4].strip() else None
             pts.append(PlanarPoint(x, y, tag))
         except ValueError as exc:

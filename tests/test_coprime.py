@@ -222,6 +222,16 @@ def test_malformed_certificate_raises():
         ("primes", [[2.0, 3], [5, 7]]),
         ("primes", ["23", "57"]),
         ("primes", "2357"),
+        ("radius", True),
+        ("radius", 0.7),
+        ("radius", 1.0),
+        ("radius", "0.7"),
+        ("radius", "1e0"),
+        ("radius", " 1/2"),
+        ("radius", "1/-2"),
+        ("radius", "1/2/3"),
+        ("radius", "1/0"),
+        ("radius", None),
     ],
 )
 def test_certificate_fields_are_read_as_written(field, value):
@@ -231,6 +241,24 @@ def test_certificate_fields_are_read_as_written(field, value):
     data[field] = value
     with pytest.raises(CertificateError, match="^malformed certificate: "):
         HoleCertificate.from_json_dict(data)
+
+
+def test_certificate_with_a_bool_radius_is_refused_not_verified():
+    # Fraction(True) is 1, and the radius-1 certificate would verify
+    data = crt_hole(1, 1).to_json_dict()
+    data["radius"] = True
+    with pytest.raises(CertificateError):
+        HoleCertificate.from_json_dict(data)
+
+
+@pytest.mark.parametrize(
+    "value, radius",
+    [(1, 1), ("1", 1), ("1/2", Fraction(1, 2)), ("-3/4", Fraction(-3, 4))],
+)
+def test_certificate_reads_int_and_written_radius(value, radius):
+    data = crt_hole(1, Fraction(1, 2)).to_json_dict()
+    data["radius"] = value
+    assert HoleCertificate.from_json_dict(data).radius == radius
 
 
 def test_certificate_reads_ints_and_integer_strings():

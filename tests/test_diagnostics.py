@@ -443,6 +443,24 @@ def test_local_floats_are_those_of_the_exact_differences():
         assert worst == max(e for wx, wy in want for e in (wx[1], wy[1]))
 
 
+def test_local_floats_shift_each_object_once_per_axis(monkeypatch):
+    # u is an x and a y coordinate, one object with two shifts
+    u, w, f = QuadExt(-1, 1, 2), QuadExt(3, -1, 2), QuadExt(5)
+    pts = [PlanarPoint(u, u), PlanarPoint(w, u), PlanarPoint(u, f),
+           PlanarPoint(w, f), PlanarPoint(u, u)]
+    ox, oy = QuadExt(1), QuadExt(0, 1, 2)
+    calls = []
+    shifted = diagnostics._shifted_float
+    monkeypatch.setattr(
+        diagnostics, "_shifted_float", lambda v, o: calls.append(1) or shifted(v, o)
+    )
+    xs, ys, worst = diagnostics._local_floats(pts, ox, oy)
+    assert xs == [float(p.x - ox) for p in pts]
+    assert ys == [float(p.y - oy) for p in pts]
+    assert xs[0] != ys[0]
+    assert len(calls) == 4  # (u, x), (w, x), (u, y), (f, y)
+
+
 def test_local_floats_beyond_the_float_range_raise():
     far = point(QuadExt(10**400, 1, 2), 0)
     with pytest.raises(FloatRangeError, match="beyond the float range"):
@@ -487,6 +505,33 @@ def test_covering_search_queries_few_centers(monkeypatch):
         queries.clear()
         covering_radius(ps, window, Fraction(1, 100))
         assert len(queries) < cap, window
+        if window == (-10, -10, 10, 10):
+            # each child block's own bound: 12,896 queries, 29,276 without
+            assert len(queries) <= 20_000
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_covering_matches_brute_force_on_random_windows(seed):
+    # grids of 1 x 1, 1 x n, n x 1, 2 x 2 and larger, where one-center
+    # blocks and the child bounds meet the edges
+    ps = closed_form(None, 6)
+    rng = random.Random(seed)
+    for shape in ["1x1", "1xn", "nx1", "2x2"] + ["nxm"] * 4:
+        res = Fraction(1, rng.randint(1, 30))
+        x0 = Fraction(rng.randint(-50, 50), rng.randint(1, 7))
+        y0 = Fraction(rng.randint(-50, 50), rng.randint(1, 7))
+        w = res * rng.randint(2, 90) + Fraction(rng.randint(0, 5), 97)
+        h = res * rng.randint(2, 90) + Fraction(rng.randint(0, 5), 97)
+        if shape in ("1x1", "1xn"):
+            w = 0
+        if shape in ("1x1", "nx1"):
+            h = 0
+        if shape == "2x2":
+            w = h = res
+        window = (x0, y0, x0 + w, y0 + h)
+        assert covering_radius(ps, window, res) == brute_force_covering(
+            ps, window, res
+        ), window
 
 
 def test_covering_ties_at_every_center_stay_cheap(monkeypatch):

@@ -286,6 +286,13 @@ def test_closed_form_at_radii_next_to_shifted_points(shift):
             assert got == ref and tags_of(got) == tags_of(ref)
 
 
+def test_closed_form_shares_one_object_per_coordinate_value():
+    # the writer and the float filters work once per object
+    ps = closed_form(None, Fraction(23, 4))
+    for column in (ps.xs, ps.ys):
+        assert len({id(u) for u in column}) == len(set(column))
+
+
 def test_ball_row_where_floats_lose_the_row():
     # at x ~ 1e9 the float of R^2 - x^2 is off by hundreds, so the float
     # ends of the row can be several steps wrong; the exact walk mends them

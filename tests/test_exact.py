@@ -769,6 +769,34 @@ def test_pointset_matches_reference_on_shuffled_input(xs, ys):
             assert all(g is w for g, w in zip(got, want))
 
 
+def test_radical_pointset_compares_each_distinct_value_once(monkeypatch):
+    # shuffled points over a sqrt(2) axis and an axis of sqrt(3) and
+    # rational values; equal values as distinct objects, duplicates with
+    # other tags.  The order is the reference comparison sort, and the
+    # exact comparisons grow with the distinct values, not the points.
+    rng = random.Random(2020)
+    xv = _radical_values(2)(rng)
+    yv = _radical_values(3)(rng) + _rational_values(rng)
+    pts = []
+    for _ in range(400):
+        x, y = rng.choice(xv), rng.choice(yv)
+        if rng.random() < 0.3:
+            x, y = _fresh(x), _fresh(y)
+        pts.append(PlanarPoint(x, y, rng.choice([None, "a", "b"])))
+    rng.shuffle(pts)
+    calls = []
+    compare = exact._compare
+    monkeypatch.setattr(
+        exact, "_compare", lambda u, v: calls.append(1) or compare(u, v)
+    )
+    got = PointSet(pts).points
+    monkeypatch.undo()
+    want = _reference_points(pts)
+    assert len(got) == len(want) and all(g is w for g, w in zip(got, want))
+    kx, ky = len(set(xv)), len(set(yv))
+    assert len(calls) <= kx * kx + ky * ky < 1_000  # a sort of the points: 3,000+
+
+
 def _presorted_inputs(rng, increasing: list[PlanarPoint]) -> list[list]:
     """Inputs that are in canonical order already, or nearly: the strictly
     increasing points themselves, the same with equal-value duplicates
@@ -934,6 +962,30 @@ def test_csv_round_trip():
     back = read_pointset_csv(io.StringIO(text))
     assert back == pts
     assert [p.tag for p in back] == [p.tag for p in pts]
+
+
+def test_csv_reader_parses_each_distinct_text_once(monkeypatch):
+    # a written set, then duplicates with other tags, an equal value in
+    # another text, and one text on both axes
+    text = _written(closed_form(None, 5)) + (
+        "-1/1+1/1*sqrt(2),-1/1+1/1*sqrt(3),0,0,VU\n"
+        "-1/1+1/1*sqrt(2),-1/1+1/1*sqrt(3),0,0,A\n"
+        "2/2,0,1,0,\n"
+        "1,1,1,1,\n"
+    )
+    rows = list(csv.reader(io.StringIO(text)))[1:]
+    calls = []
+    parse = exact.parse_quadext
+    monkeypatch.setattr(exact, "parse_quadext", lambda t: calls.append(t) or parse(t))
+    back = read_pointset_csv(io.StringIO(text))
+    monkeypatch.undo()
+    texts = {r[0] for r in rows} | {r[1] for r in rows}
+    assert sorted(calls) == sorted(texts)
+    # the points of one text share its object
+    assert len({id(u) for u in back.xs + back.ys}) <= len(texts)
+    # the set that parsing every cell gives: the same points, tags, order
+    want = PointSet(PlanarPoint(parse(r[0]), parse(r[1]), r[4] or None) for r in rows)
+    assert back.points == want.points and back.tags == want.tags
 
 
 def test_csv_bad_rows_reported_with_line_numbers():
