@@ -10,7 +10,7 @@ from scratch.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat
+from itertools import compress, repeat
 from math import floor, gcd, isqrt, prod
 from typing import NamedTuple, Optional
 
@@ -21,34 +21,36 @@ class CertificateError(ValueError):
     """Structurally malformed hole certificate."""
 
 
-def _integer_lift(ks: range) -> dict[int, QuadExt]:
-    """Each integer in ks lifted to QuadExt once, for one call only:
-    the points of a set share their coordinates, and coordinates elsewhere
-    can have thousands of digits, so nothing is cached across calls."""
-    return {k: QuadExt(k) for k in ks}
-
-
 def gcd_filtered_points(max_gcd: int, radius) -> PointSet:
     """Nonzero integer points with gcd(|p|, |q|) <= max_gcd in the closed
     radius ball, with gcd(k, 0) = |k|.  They are made column by column in
-    canonical order, so the set takes the columns as they are."""
+    canonical order, so the set takes the columns as they are.
+
+    Column p keeps q unless a divisor g > max_gcd of |p| (of 0, any g)
+    divides q: one bytearray sieve per |p| zeroes the multiples of each
+    such g, and ``compress`` keeps the flagged q, in column p and -p.
+    """
     if max_gcd < 1:
         raise ValueError("max_gcd must be >= 1")
     R = as_positive(radius, "radius")
-    # p*p + q*q is an integer, so comparing it with floor(R*R) is exact.
+    # p*p + q*q is an integer, so comparing it with floor(R*R) is exact;
+    # |p| <= r and r*r <= R2, so column p is |q| <= isqrt(R2 - p*p)
     R2 = floor(R * R)
     r = floor(R)
-    lift = _integer_lift(range(-r, r + 1))
+    # k at k + r, for this call only: coordinates can have many digits
+    lifted = [QuadExt(k) for k in range(-r, r + 1)]
+    ms = [isqrt(R2 - a * a) for a in range(r + 1)]
+    sieves = [bytearray(b"\1") * (2 * m + 1) for m in ms]  # q at q + m
+    for g in range(max_gcd + 1, r + 1):
+        for a in range(0, r + 1, g):
+            i = ms[a] % g
+            sieves[a][i::g] = bytes((2 * ms[a] - i) // g + 1)
+    sieves[0][r] = 0  # gcd(0, 0) = 0, but the origin is no point
     xs, ys = [], []
     for p in range(-r, r + 1):
-        # |p| <= r and r*r <= R2, so the ball's column at p is
-        # |q| <= isqrt(R2 - p*p): the same points, in the same order
-        m = isqrt(R2 - p * p)
-        qs = [q for q in range(-m, m + 1) if gcd(p, q) <= max_gcd]
-        if not p:
-            qs.remove(0)  # gcd(0, 0) = 0, but the origin is no point
-        xs += repeat(lift[p], len(qs))
-        ys += map(lift.__getitem__, qs)
+        m, keep = ms[abs(p)], sieves[abs(p)]
+        ys += compress(lifted[r - m : r + m + 1], keep)
+        xs += repeat(lifted[r + p], keep.count(1))
     return PointSet._from_columns(tuple(xs), tuple(ys), (None,) * len(xs))
 
 

@@ -13,9 +13,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
-from itertools import islice
+from itertools import chain, compress, islice, repeat
 from math import gcd, inf, isqrt, ulp
-from operator import lt
+from operator import attrgetter, is_not, lt
 from typing import Iterable, Iterator, Optional, Union
 
 RationalLike = Union[int, Fraction]
@@ -824,18 +824,14 @@ class PointSet(Immutable):
         pts = list(points)
         xs = [p.x for p in pts]
         ys = [p.y for p in pts]
-        d_x, d_y, keys, order = _canonical_order(xs, ys)
-        if order is not None:
-            kept: list[int] = []
-            last = None  # the key of pts[kept[-1]]; no key is None
-            for i in order:
-                if keys[i] == last:
-                    if _tag_key(pts[i].tag) < _tag_key(pts[kept[-1]].tag):
-                        kept[-1] = i
-                    continue
-                kept.append(i)
-                last = keys[i]
-            pts, xs, ys = ([seq[i] for i in kept] for seq in (pts, xs, ys))
+        d_x, d_y, keys = _canonical_keys(xs, ys)
+        # sorted in C unless increasing; merged only where sorted keys repeat
+        if not all(map(lt, keys, islice(keys, 1, None))):
+            order = sorted(range(len(keys)), key=keys.__getitem__)
+            ranked = list(map(keys.__getitem__, order))
+            if not all(map(lt, ranked, islice(ranked, 1, None))):
+                order = _merge_duplicates(order, keys, pts)
+            pts, xs, ys = ([seq[i] for i in order] for seq in (pts, xs, ys))
         _fill(self, tuple(xs), tuple(ys), tuple(p.tag for p in pts), d_x, d_y, tuple(pts))
 
     @classmethod
@@ -890,8 +886,18 @@ def _fill(ps: PointSet, xs, ys, tags, d_x, d_y, points) -> PointSet:
     return ps
 
 
-def _tag_key(tag: Optional[str]) -> tuple[int, str]:
-    return (1, "") if tag is None else (0, tag)
+def _merge_duplicates(order: list[int], keys: list[tuple], pts) -> list[int]:
+    """order with each run of equal keys merged into one index: the point
+    with the smallest tag (no tag is the largest), the first on a tie."""
+    kept: list[int] = []
+    for i in order:
+        if kept and keys[i] == keys[kept[-1]]:
+            t, u = pts[i].tag, pts[kept[-1]].tag
+            if t is not None and (u is None or t < u):
+                kept[-1] = i
+        else:
+            kept.append(i)
+    return kept
 
 
 def _ambient_d(ds: set[int], axis: str) -> int:
@@ -903,40 +909,19 @@ def _ambient_d(ds: set[int], axis: str) -> int:
     return ds.pop() if ds else 1
 
 
-def _canonical_order(
+def _canonical_keys(
     xs: list[QuadExt], ys: list[QuadExt]
-) -> tuple[int, int, list[tuple], Optional[list[int]]]:
-    """The ambient radicals d_x and d_y, one equality key per point, and
-    the indices of the points in canonical order, or None when they are in
-    it already, strictly increasing, so that no two are equal.
-
-    A rational point's key is its pair of coordinates, each an int when it
-    is an integer: ints and Fractions compare and test equal by value, so
-    the keys sort lexicographically, and integer points sort as int pairs.
-    One pass builds them.  A point with a radical ends it; then a key is
-    the pair of ranks that :func:`_ranks` gives each coordinate on its
-    axis, which orders and tests equal as the values do.  Either way the
-    points are sorted by their keys in C, and not at all when a pass in C
-    finds the keys strictly increasing.
-    """
-    keys: list[tuple] = []
-    for x, y in zip(xs, ys):
-        if x.d != 1 or y.d != 1:
-            d_x = _ambient_d({u.d for u in xs}, "x")
-            d_y = _ambient_d({u.d for u in ys}, "y")
-            keys = list(zip(_ranks(xs), _ranks(ys)))
-            break
-        keys.append(
-            (
-                x.A if x.q == 1 else Fraction(x.A, x.q),
-                y.A if y.q == 1 else Fraction(y.A, y.q),
-            )
-        )
-    else:
-        d_x = d_y = 1
-    if all(map(lt, keys, islice(keys, 1, None))):
-        return d_x, d_y, keys, None
-    return d_x, d_y, keys, sorted(range(len(keys)), key=keys.__getitem__)
+) -> tuple[int, int, list[tuple]]:
+    """The ambient radicals d_x and d_y, from a pass in C over the
+    radicands, and one key per point that orders and tests equal as the
+    point does: with no radical, its coordinates, each an int when it is an
+    integer; else the ranks :func:`_ranks` gives them on their axes."""
+    d_x = _ambient_d(set(map(attrgetter("d"), xs)), "x")
+    d_y = _ambient_d(set(map(attrgetter("d"), ys)), "y")
+    if d_x != 1 or d_y != 1:
+        return d_x, d_y, list(zip(_ranks(xs), _ranks(ys)))
+    return 1, 1, [(x.A if x.q == 1 else Fraction(x.A, x.q),
+                   y.A if y.q == 1 else Fraction(y.A, y.q)) for x, y in zip(xs, ys)]
 
 
 def _ranks(us: list[QuadExt]) -> list[int]:
@@ -976,23 +961,27 @@ def _tag_cell(tag: Optional[str]) -> str:
 def write_pointset_csv(ps: PointSet, fileobj) -> None:
     """Emit the canonical CSV form, a header plus one row per point: the
     bytes of ``csv.writer(fileobj, lineterminator="\\n")`` (but see
-    :func:`_tag_cell`), each row one string read from the columns.
-
-    The points of a set share coordinate objects, so each object's exact
-    and float text is built once, in a dict keyed by id and local to the
-    call: the set keeps every coordinate alive, so no id is reused while it
-    runs, and coordinates can have thousands of digits, so nothing outlives
-    it.
+    :func:`_tag_cell`), five strings per row interleaved by slice into one
+    ``join``.  Each text is built once: an x text per run of one x object
+    (the set is sorted by x), a y text per y object, in a dict keyed by id
+    and local to the call, since the set keeps every coordinate alive.
     """
-    ix = list(map(id, ps.xs))
-    iy = list(map(id, ps.ys))
-    objs = dict(zip(ix, ps.xs))
-    objs.update(zip(iy, ps.ys))
-    cell = {k: (format_quadext(u), _float_repr(float(u))) for k, u in objs.items()}
-    tag = {t: _tag_cell(t) for t in set(ps.tags)}
-    rows = zip(map(cell.get, ix), map(cell.get, iy), map(tag.get, ps.tags))
-    body = "".join([f"{ex},{ey},{fx},{fy},{t}\n" for (ex, fx), (ey, fy), t in rows])
-    fileobj.write(",".join(CSV_HEADER) + "\n" + body)
+    xs, ys, n = ps.xs, ps.ys, len(ps.xs)
+    starts = list(compress(range(n), map(is_not, xs, chain((None,), xs))))
+    ex, fx = [], []
+    for i, j in zip(starts, starts[1:] + [n]):
+        ex += repeat(format_quadext(xs[i]) + ",", j - i)
+        fx += repeat(_float_repr(float(xs[i])) + ",", j - i)
+    iy = list(map(id, ys))
+    objs = dict(zip(iy, ys)).items()
+    ey = {k: format_quadext(u) + "," for k, u in objs}
+    fy = {k: _float_repr(float(u)) + "," for k, u in objs}
+    tag = {t: _tag_cell(t) + "\n" for t in set(ps.tags)}
+    parts = [""] * (5 * n)
+    parts[0::5], parts[2::5] = ex, fx
+    parts[1::5], parts[3::5] = map(ey.__getitem__, iy), map(fy.__getitem__, iy)
+    parts[4::5] = map(tag.__getitem__, ps.tags)
+    fileobj.write(",".join(CSV_HEADER) + "\n" + "".join(parts))
 
 
 class CsvRowError(ParseError):

@@ -13,8 +13,9 @@ import warnings
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
-from typing import Iterable, Iterator, NamedTuple
+from itertools import compress
+from math import floor, gcd
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .exact import Immutable, PointSet, QuadExt, as_positive, point
 
@@ -197,56 +198,47 @@ class Origami:
         return marked or any(vc.singular for vc in self._classes)
 
 
-def crossing_word(direction: Direction) -> str:
-    """Edge-crossing word of the (p, q) geodesic across one torus period.
+def _parents(p: int, q: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The Stern-Brocot parents of a primitive (p, q), p, q > 0, in the
+    order their periods make up its period: (a, b) with a*q - b*p = 1 and
+    (c, d) = (p - a, q - b) span with (0, 0) and (p, q) no other lattice
+    point, so it is (c, d)'s, then (a, b)'s; but for q = 1 it is H^p V,
+    since (a, b) = (1, 0) runs above its corner."""
+    a = pow(q, -1, p) if p > 1 else 1
+    b = (a * q - 1) // p
+    return ((1, 0), (p - 1, 1)) if b == 0 else ((p - a, q - b), (a, b))
 
-    H marks a right-edge crossing, V a top-edge crossing; events at equal
-    time (only the shared endpoint for a primitive direction) order H
-    before V.  Exactly p H's and q V's.
-    """
+
+def _compose(first: Perm, then: Perm) -> Perm:
+    """The permutation that applies first, then then."""
+    return tuple(map(then.__getitem__, first))
+
+
+def monodromy(o: Origami, direction: Direction, memo: Optional[dict] = None) -> Perm:
+    """Sheet permutation after one period of the direction from each lower-
+    left corner: h per right-edge crossing, v per top-edge one, H first at
+    a corner.  It composes its parents' (:func:`_parents`), kept in memo, a
+    dict for this origami that callers may share, made from a stack."""
     p, q = direction.p, direction.q
     if not direction.is_primitive:
         raise ValueError(f"direction ({p}, {q}) is not primitive")
-    if q == 0:
-        return "H" * p
-    if p == 0:
-        return "V" * q
-    word = []
-    a, b = 1, 1
-    while a <= p or b <= q:
-        if b > q:
-            word.append("H")
-            a += 1
-        elif a > p:
-            word.append("V")
-            b += 1
-        elif a * q <= b * p:
-            # ties (a*q == b*p) occur only at the endpoint: H first.
-            word.append("H")
-            a += 1
-        else:
-            word.append("V")
-            b += 1
-    return "".join(word)
-
-
-def monodromy(o: Origami, direction: Direction) -> Perm:
-    """Sheet permutation after one period: word letters applied leftmost
-    first (an H applies h, a V applies v)."""
-    word = crossing_word(direction)
-    out = []
-    for i in range(o.n):
-        j = i
-        for ch in word:
-            j = o.h[j] if ch == "H" else o.v[j]
-        out.append(j)
-    return tuple(out)
+    memo = {} if memo is None else memo
+    if not memo:
+        memo.update({(1, 0): o.h, (0, 1): o.v})
+    todo = [(p, q)]
+    while todo:
+        d = todo.pop()
+        if d not in memo:
+            first, then = _parents(*d)
+            if first in memo and then in memo:
+                memo[d] = _compose(memo[first], memo[then])
+            else:
+                todo += (d, first, then)
+    return memo[p, q]
 
 
 def _singular_flags(o: Origami, marked: bool) -> list[bool]:
-    return [
-        marked or order >= 2 for order in o._class_order_of_sheet
-    ]
+    return [marked or order >= 2 for order in o._class_order_of_sheet]
 
 
 def saddle_connections_in_direction(
@@ -263,21 +255,20 @@ def saddle_connections_in_direction(
     if not any(sing):
         warnings.warn(TORUS_NOTICE, stacklevel=2)
         return Counter()
-    sigma = monodromy(o, direction)
-    counts: Counter = Counter()
-    for i in range(o.n):
-        if not sing[i]:
-            continue
-        j = sigma[i]
-        s = 1
+    return Counter(_periods_to_singular(monodromy(o, direction), sing))
+
+
+def _periods_to_singular(sigma: Perm, sing: list[bool]) -> Iterator[int]:
+    """For each singular sheet i, the least s >= 1 with sigma^s(i)
+    singular: the step count of the saddle connection leaving i."""
+    for i in compress(range(len(sing)), sing):
+        j, s = sigma[i], 1
         while not sing[j]:
-            j = sigma[j]
-            s += 1
-        counts[s] += 1
-    return counts
+            j, s = sigma[j], s + 1
+        yield s
 
 
-def primitive_directions(radius_sq: Fraction) -> Iterator[tuple[int, int]]:
+def primitive_directions(radius_sq: int | Fraction) -> Iterator[tuple[int, int]]:
     """Primitive (p, q) with p, q >= 0 and p*p + q*q <= radius_sq, first
     quadrant including both axes, by Stern-Brocot mediant subdivision."""
     if radius_sq >= 1:
@@ -304,15 +295,18 @@ def enumerate_holonomies(o: Origami, radius, marked: bool = False) -> PointSet:
     if not o.has_singularities(marked):
         warnings.warn(TORUS_NOTICE, stacklevel=2)
         return PointSet([])
-    R2 = R * R
+    # p*p + q*q is an integer, so comparing it with floor(R*R) is exact
+    R2 = floor(R * R)
     pts: set[tuple[int, int]] = set()
     for surf, sx in ((o, 1), (o.reflect_h(), -1)):
+        sing = _singular_flags(surf, marked)
+        memo: dict = {}  # this surface's monodromies, for this call only
         for p, q in primitive_directions(R2):
             if sx < 0 and (p == 0 or q == 0):
                 continue  # axis directions already covered via negation
-            counts = saddle_connections_in_direction(surf, Direction(p, q), marked)
+            sigma = monodromy(surf, Direction(p, q), memo)
             norm2 = p * p + q * q
-            for s in counts:
+            for s in set(_periods_to_singular(sigma, sing)):
                 if s * s * norm2 <= R2:
                     x, y = sx * s * p, s * q
                     pts.add((x, y))

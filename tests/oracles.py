@@ -1,10 +1,11 @@
 """Independent oracles that the tests check the library against.
 
 None of these is on a library path: each re-derives by a second method
-what the library computes (a square-by-square ray trace for the
-monodromy walk, a per-segment blocker scan and an exact slope test for
-the double cover, a windowed gcd filter for the hole inspection), or
-exposes internal state to test.
+what the library computes (a square-by-square ray trace and a
+letter-by-letter crossing-word walk for the composed monodromy, a
+per-segment blocker scan and an exact slope test for the double cover,
+a windowed gcd filter for the hole inspection), or exposes internal
+state to test.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 from math import ceil, floor, gcd
 from typing import Optional
 
-from holoset.coprime import _integer_lift
 from holoset.double_cover import ShiftVector, _int_range
 from holoset.exact import (
     PlanarPoint,
@@ -85,6 +85,58 @@ def ray_trace_oracle(
                 return k
             if k >= s_max:
                 return None
+
+
+def crossing_word(direction: Direction) -> str:
+    """Edge-crossing word of the (p, q) geodesic across one torus period.
+
+    H marks a right-edge crossing, V a top-edge crossing; events at equal
+    time (only the shared endpoint for a primitive direction) order H
+    before V.  Exactly p H's and q V's.
+    """
+    p, q = direction.p, direction.q
+    if not direction.is_primitive:
+        raise ValueError(f"direction ({p}, {q}) is not primitive")
+    if q == 0:
+        return "H" * p
+    if p == 0:
+        return "V" * q
+    word = []
+    a, b = 1, 1
+    while a <= p or b <= q:
+        if b > q:
+            word.append("H")
+            a += 1
+        elif a > p:
+            word.append("V")
+            b += 1
+        elif a * q <= b * p:
+            # ties (a*q == b*p) occur only at the endpoint: H first.
+            word.append("H")
+            a += 1
+        else:
+            word.append("V")
+            b += 1
+    return "".join(word)
+
+
+def word_monodromy(o: Origami, direction: Direction) -> tuple[int, ...]:
+    """Sheet permutation after one period, letter by letter: the crossing
+    word applied leftmost first (an H applies h, a V applies v)."""
+    word = crossing_word(direction)
+    out = []
+    for i in range(o.n):
+        j = i
+        for ch in word:
+            j = o.h[j] if ch == "H" else o.v[j]
+        out.append(j)
+    return tuple(out)
+
+
+def _integer_lift(ks: range) -> dict[int, QuadExt]:
+    """Each integer in ks lifted to QuadExt once: the points of a set
+    share their coordinates."""
+    return {k: QuadExt(k) for k in ks}
 
 
 def gcd_filtered_window(max_gcd: int, window) -> PointSet:

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import ast
+import gc
 import hashlib
 import json
 import os
@@ -673,6 +674,76 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert len(data_rows(proc.stdout)) == 4
+
+
+def _module(*args, env=None):
+    """``python -m holoset args`` in a fresh interpreter, bytes out."""
+    return subprocess.run(
+        [sys.executable, "-m", "holoset", *map(str, args)],
+        capture_output=True,
+        env=env or CHILD_ENV,
+        timeout=60,
+    )
+
+
+def test_module_entry_ends_as_in_process_main(tmp_path, capsysbinary, monkeypatch):
+    # argparse wraps help text to the terminal width: fix it on both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    env = {**CHILD_ENV, "COLUMNS": "80"}
+    with pytest.raises(SystemExit) as ei:
+        main(["--help"])
+    assert ei.value.code == 0
+    proc = _module("--help", env=env)
+    assert proc.returncode == 0
+    assert proc.stdout == capsysbinary.readouterr().out
+
+    with pytest.raises(SystemExit) as ei:
+        main(["coprime", "--radius"])
+    assert ei.value.code == 2
+    proc = _module("coprime", "--radius", env=env)
+    assert proc.returncode == 2
+    assert proc.stderr == capsysbinary.readouterr().err
+
+    path = write_json(tmp_path / "disc.json", DISCONNECTED)
+    assert _module("enumerate", path, "--radius", "1").returncode == 3
+
+    assert run("coprime", "--radius", "5") == 0
+    proc = _module("coprime", "--radius", "5")
+    assert proc.returncode == 0
+    assert proc.stdout == capsysbinary.readouterr().out
+
+
+def test_only_the_process_entry_freezes_the_heap(capsys):
+    before = gc.get_freeze_count()
+    assert run("coprime", "--radius", "5") == 0
+    with pytest.raises(SystemExit):
+        run("--help")
+    assert run("enumerate", "/no/such/file.json", "--radius", "1") == 2
+    assert gc.get_freeze_count() == before
+    script = textwrap.dedent(
+        """
+        import gc, sys
+        from holoset.__main__ import run
+        sys.argv[1:] = ["coprime", "--radius", "1"]
+        code = run()
+        sys.exit(code if gc.get_freeze_count() else 9)
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, env=CHILD_ENV
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_console_script_ends_as_module_entry():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as f:
+        scripts = tomllib.load(f)["project"]["scripts"]
+    assert scripts == {"holoset": "holoset.__main__:run"}
+    from holoset.__main__ import run as entry
+
+    assert callable(entry)
 
 
 def test_subcommands_do_not_import_numpy_or_scipy(tmp_path):

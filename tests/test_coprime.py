@@ -87,6 +87,27 @@ def test_fractional_radius_is_exact():
     assert point(2, 2) not in ps
 
 
+def _per_point_gcd_filter(max_gcd: int, radius) -> list[tuple[int, int]]:
+    """The filter one gcd per lattice point of the bounding square."""
+    r = int(radius)
+    return [
+        (p, q)
+        for p in range(-r, r + 1)
+        for q in range(-r, r + 1)
+        if (p or q) and p * p + q * q <= radius**2 and gcd(p, q) <= max_gcd
+    ]
+
+
+@pytest.mark.parametrize(
+    "radius", [Fraction(1, 2), 1, Fraction(7, 2), Fraction(303, 5), 199]
+)
+@pytest.mark.parametrize("max_gcd", [1, 2, 3, 4, 5, 6])
+def test_sieved_columns_equal_the_per_point_gcd_filter(max_gcd, radius):
+    ps = gcd_filtered_points(max_gcd, radius)
+    got = [(x.A, y.A) for x, y in zip(ps.xs, ps.ys)]
+    assert got == _per_point_gcd_filter(max_gcd, radius)
+
+
 def _shuffled_point_set(pts, seed: int) -> PointSet:
     pts = list(pts)
     random.Random(seed).shuffle(pts)

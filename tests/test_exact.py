@@ -868,6 +868,99 @@ def _csv_writer_text(ps: PointSet) -> str:
     return buf.getvalue()
 
 
+def _csv_writer_quoting_cr(ps: PointSet) -> str:
+    """The rows as csv.writer writes them under a "\\r\\n" terminator, which
+    also quotes a bare carriage return, each row ended by "\\n"."""
+    rows = [["x_exact", "y_exact", "x_float", "y_float", "tag"]] + [
+        [format_quadext(p.x), format_quadext(p.y),
+         format(float(p.x), ".12g"), format(float(p.y), ".12g"), p.tag or ""]
+        for p in ps
+    ]
+    out = []
+    for row in rows:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow(row)
+        out.append(buf.getvalue()[:-2] + "\n")
+    return "".join(out)
+
+
+def _equal_x_in_distinct_objects() -> PointSet:
+    # runs of one x value that alternate between equal objects, rational
+    # and radical, so that a run of one object is not a run of one value
+    one, root = QuadExt(1), QuadExt(1, 1, 2)
+    xs = [one, _fresh(one), one, root, _fresh(root), _fresh(root), root]
+    return PointSet._from_columns(
+        tuple(xs), tuple(QuadExt(k) for k in range(7)), (None,) * 7
+    )
+
+
+@pytest.mark.parametrize(
+    "ps",
+    [
+        PointSet([point(1, 2, 'say "hi", then'), point(3, 4, "two\nlines")]),
+        PointSet([point(1, 2, "cr\rhere"), point(3, 4, "a,\rb"), point(5, 6)]),
+        closed_form(None, 5),
+        PointSet([point(k, -k, tag) for k, tag in
+                  enumerate([None, "UU", "a,b", None, "", "UV", " x "])]),
+        PointSet([]),
+        _equal_x_in_distinct_objects(),
+        gcd_filtered_points(2, Fraction(7, 2)),
+    ],
+    ids=["quoted-tags", "cr-tags", "radical", "mixed-tags", "empty",
+         "equal-x-distinct-objects", "columns"],
+)
+def test_csv_writer_equals_csv_writer(ps):
+    text = _written(ps)
+    assert text == _csv_writer_quoting_cr(ps)
+    if all("\r" not in (p.tag or "") for p in ps):
+        assert text == _csv_writer_text(ps)
+
+
+def test_pointset_sorts_without_merging_when_no_key_repeats(monkeypatch):
+    calls = []
+    merge = exact._merge_duplicates
+    monkeypatch.setattr(
+        exact, "_merge_duplicates", lambda *a: calls.append(1) or merge(*a)
+    )
+    rng = random.Random(22)
+    pts = [point(x, y, rng.choice([None, "b", "a"]))
+           for x in range(-6, 7) for y in range(-3, 4)]
+    rng.shuffle(pts)
+    got = PointSet(pts).points
+    assert not calls  # sorted, and no two keys equal: no merge loop
+    want = _reference_points(pts)
+    assert all(g is w for g, w in zip(got, want)) and len(got) == len(want)
+    # equal values with other tags: the loop runs and keeps the smallest
+    twins = [PlanarPoint(_fresh(p.x), _fresh(p.y), "a") for p in pts[::5]]
+    given = pts + twins
+    rng.shuffle(given)
+    got = PointSet(given).points
+    assert calls == [1]
+    want = _reference_points(given)
+    assert all(g is w for g, w in zip(got, want)) and len(got) == len(want)
+    tags = {(p.x, p.y): p.tag for p in got}
+    assert all(tags[t.x, t.y] == "a" for t in twins)
+
+
+def test_radical_set_builds_no_rational_key(monkeypatch):
+    # rational points with non-integer coordinates and one radical point:
+    # the radicands are scanned before any key is built, so the Fractions
+    # made (rational QuadExts hash as theirs) do not depend on where the
+    # radical point stands; 800 rational keys built and thrown away would
+    rational = [point(Fraction(k, 2), Fraction(-k, 3)) for k in range(1, 401)]
+    radical = PlanarPoint(QuadExt(0, 1, 2), QuadExt(1))
+    made = []
+    monkeypatch.setattr(exact, "Fraction", lambda *a: made.append(a) or Fraction(*a))
+    counts = []
+    for pts in (rational + [radical], [radical] + rational):
+        made.clear()
+        got = PointSet(pts).points
+        counts.append(len(made))
+        want = _reference_points(pts)
+        assert all(g is w for g, w in zip(got, want)) and len(got) == len(want)
+    assert counts[0] == counts[1]
+
+
 def _read_tags(ps: PointSet) -> list:
     """The tags read_pointset_csv gives back: stripped, and None if empty."""
     return [(p.tag or "").strip() or None for p in ps]

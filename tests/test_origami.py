@@ -8,6 +8,7 @@ from math import gcd
 
 import pytest
 
+from holoset import origami
 from holoset.coprime import coprime_points
 from holoset.exact import PointSet, point
 from holoset.origami import (
@@ -16,13 +17,17 @@ from holoset.origami import (
     Origami,
     OrigamiFormatError,
     TORUS_NOTICE,
-    crossing_word,
     enumerate_holonomies,
     monodromy,
     primitive_directions,
     saddle_connections_in_direction,
 )
-from oracles import ray_trace_oracle, vertex_classes
+from oracles import (
+    crossing_word,
+    ray_trace_oracle,
+    vertex_classes,
+    word_monodromy,
+)
 
 # fixed corpus: torus, a 3-sheet and a 4-sheet cover, a 5-sheet stair,
 # a two-cylinder 6-sheet cover, and a commuting 4-sheet pair
@@ -144,6 +149,68 @@ def test_monodromy_diagonal():
     sigma = monodromy(ORIG3, Direction(1, 1))
     assert sigma == tuple(ORIG3.v[ORIG3.h[i]] for i in range(3))
     assert sigma == (1, 2, 0)
+
+
+def _seeded_origamis():
+    """One transitive origami for each of 3..10 sheets, and its mirror."""
+    rng = random.Random(22)
+    out = []
+    for n in range(3, 11):
+        while True:
+            h, v = list(range(n)), list(range(n))
+            rng.shuffle(h)
+            rng.shuffle(v)
+            try:
+                o = Origami(h, v)
+            except DisconnectedSurfaceError:
+                continue
+            out += [o, o.reflect_h()]
+            break
+    return out
+
+
+def test_composed_monodromy_matches_letter_walk():
+    dirs = [Direction(p, q) for p, q in primitive_directions(2500)]
+    assert len(dirs) > 1000
+    for o in _seeded_origamis():
+        memo: dict = {}
+        for d in dirs:
+            want = word_monodromy(o, d)
+            assert monodromy(o, d, memo) == want, (o, d)
+        # without a memo, in another order: each call from scratch
+        for d in dirs[::97]:
+            assert monodromy(o, d) == word_monodromy(o, d), (o, d)
+
+
+@pytest.mark.parametrize("p, q", [(1, 10**4), (9999, 10**4), (10**4, 1)])
+def test_composed_monodromy_far_directions(p, q):
+    # ancestors are made from a stack: a chain of 10^4 parents recurses
+    # nowhere, so no RecursionError
+    for o in _seeded_origamis()[:4]:
+        assert monodromy(o, Direction(p, q)) == word_monodromy(o, Direction(p, q))
+
+
+@pytest.mark.parametrize("p, q", [(2, 2), (0, 3), (3, 0), (4, 6)])
+def test_monodromy_rejects_non_primitive(p, q):
+    with pytest.raises(ValueError, match="not primitive"):
+        monodromy(ORIG3, Direction(p, q))
+
+
+def test_enumerate_composes_once_per_direction(monkeypatch):
+    calls = []
+    compose = origami._compose
+
+    def counted(first, then):
+        calls.append(1)
+        return compose(first, then)
+
+    monkeypatch.setattr(origami, "_compose", counted)
+    radius = 30
+    enumerate_holonomies(ORIG6, radius)
+    # the axes are h and v as they are; every other direction, on the
+    # surface and on its mirror, is one composition of two memoised parents
+    off_axis = sum(1 for p, q in primitive_directions(radius**2) if p and q)
+    assert len(calls) == 2 * off_axis
 
 
 def test_saddle_connections_three_sheet_horizontal():
