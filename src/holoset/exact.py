@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cmp_to_key, lru_cache
 from itertools import chain, compress, islice, repeat
 from math import gcd, inf, isqrt, ulp
-from operator import attrgetter, is_not, lt
+from operator import is_not, lt
 from typing import Iterable, Iterator, Optional, Union
 
 RationalLike = Union[int, Fraction]
@@ -825,11 +825,10 @@ class PointSet(Immutable):
         xs = [p.x for p in pts]
         ys = [p.y for p in pts]
         d_x, d_y, keys = _canonical_keys(xs, ys)
-        # sorted in C unless increasing; merged only where sorted keys repeat
+        # sorted in C unless increasing; merged only when a key repeats
         if not all(map(lt, keys, islice(keys, 1, None))):
             order = sorted(range(len(keys)), key=keys.__getitem__)
-            ranked = list(map(keys.__getitem__, order))
-            if not all(map(lt, ranked, islice(ranked, 1, None))):
+            if len(set(keys)) < len(keys):
                 order = _merge_duplicates(order, keys, pts)
             pts, xs, ys = ([seq[i] for i in order] for seq in (pts, xs, ys))
         _fill(self, tuple(xs), tuple(ys), tuple(p.tag for p in pts), d_x, d_y, tuple(pts))
@@ -890,13 +889,15 @@ def _merge_duplicates(order: list[int], keys: list[tuple], pts) -> list[int]:
     """order with each run of equal keys merged into one index: the point
     with the smallest tag (no tag is the largest), the first on a tie."""
     kept: list[int] = []
+    last = None  # the key of pts[kept[-1]]; no key is None
     for i in order:
-        if kept and keys[i] == keys[kept[-1]]:
+        if keys[i] == last:
             t, u = pts[i].tag, pts[kept[-1]].tag
             if t is not None and (u is None or t < u):
                 kept[-1] = i
         else:
             kept.append(i)
+            last = keys[i]
     return kept
 
 
@@ -912,12 +913,12 @@ def _ambient_d(ds: set[int], axis: str) -> int:
 def _canonical_keys(
     xs: list[QuadExt], ys: list[QuadExt]
 ) -> tuple[int, int, list[tuple]]:
-    """The ambient radicals d_x and d_y, from a pass in C over the
+    """The ambient radicals d_x and d_y, from one pass over the
     radicands, and one key per point that orders and tests equal as the
     point does: with no radical, its coordinates, each an int when it is an
     integer; else the ranks :func:`_ranks` gives them on their axes."""
-    d_x = _ambient_d(set(map(attrgetter("d"), xs)), "x")
-    d_y = _ambient_d(set(map(attrgetter("d"), ys)), "y")
+    d_x = _ambient_d({u.d for u in xs}, "x")
+    d_y = _ambient_d({u.d for u in ys}, "y")
     if d_x != 1 or d_y != 1:
         return d_x, d_y, list(zip(_ranks(xs), _ranks(ys)))
     return 1, 1, [(x.A if x.q == 1 else Fraction(x.A, x.q),
