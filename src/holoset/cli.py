@@ -257,12 +257,13 @@ def render_svg(ps: PointSet, point_size: float = 2.0, axis_range=None) -> str:
             f"its padded span lies beyond the float range"
         )
 
-    tags = sorted({c[2] for c in coords if c[2] is not None})
+    classes = {tag: _tag_class(tag) for tag in {c[2] for c in coords}}
+    tags = sorted(tag for tag in classes if tag is not None)
     styles = [f".axis {{ stroke: #999999; stroke-width: {scale:.6f}; }}"]
     styles.append(f".pt {{ fill: {_PALETTE[0]}; }}")
     for i, tag in enumerate(tags):
         color = _PALETTE[i % len(_PALETTE)]
-        styles.append(f".{_tag_class(tag)} {{ fill: {color}; }}")
+        styles.append(f".{classes[tag]} {{ fill: {color}; }}")
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_CANVAS}" '
@@ -279,7 +280,7 @@ def render_svg(ps: PointSet, point_size: float = 2.0, axis_range=None) -> str:
     r = point_size * scale
     for x, y, tag in coords:
         lines.append(
-            f'<circle class="{_tag_class(tag)}" cx="{x:.6f}" cy="{y:.6f}" '
+            f'<circle class="{classes[tag]}" cx="{x:.6f}" cy="{y:.6f}" '
             f'r="{r:.6f}"/>'
         )
     lines.append("</svg>")

@@ -3,9 +3,11 @@
 Values a + b*sqrt(d) are stored as integers (A + B*sqrt(d))/q with
 squarefree d >= 1.  All predicates (signs, comparisons, membership) are
 decided exactly; floating output is derived from dyadic approximations
-that carry explicit error bounds.  Sums mixing several radicals (as arise
-in squared distances between points whose coordinates live in different
-fields) are handled by :class:`RadicalSum`.
+that carry explicit error bounds.  Values mixing the radicals of two
+fields (as arise in squared distances between points whose coordinates
+live in different fields) are elements of one biquadratic field
+Q(sqrt(d), sqrt(e)), a :class:`RadicalSum`, whose sign is taken from
+integers.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import re
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
 from itertools import chain, compress, islice, repeat
-from math import gcd, inf, isqrt, ulp
+from math import gcd, inf, isqrt, prod, ulp
 from operator import is_not, lt
 from typing import Iterable, Iterator, Optional, Union
 
@@ -142,9 +144,10 @@ def _surd_float(A: int, B: int, q: int, d: int, bits: int = 53) -> tuple[float, 
     """:meth:`QuadExt.to_float` of (A + B*sqrt(d))/q, q > 0, in any terms:
     the midpoint a + b*(2s+1)/2**k of :meth:`RadicalSum.approx`, as one
     int quotient, correctly rounded as ``float(Fraction)`` is whatever the
-    terms, and the bound of :func:`_float_with_bound` for the error
-    |b|/2**k.  Raises OverflowError beyond the float range.  It feeds
-    reported floats and the float filters; no comparison reads it."""
+    terms, and the bound that ``_float_with_bound`` of the test oracles
+    (``tests/oracles.py``) puts on the error |b|/2**k.  Raises
+    OverflowError beyond the float range.  It feeds reported floats and
+    the float filters; no comparison reads it."""
     if not B:
         value = A / q
         n, m = value.as_integer_ratio()
@@ -157,17 +160,6 @@ def _surd_float(A: int, B: int, q: int, d: int, bits: int = 53) -> tuple[float, 
     value = ((A << k) + B * (2 * s + 1)) / (q << k)
     err = abs(B) / (q << k)
     return value, err * (1 + 2.0**-50) + (abs(value) * 2.0**-52 + 5e-324)
-
-
-def _float_with_bound(mid: Fraction, err: Fraction) -> tuple[float, float]:
-    """float(mid) with a conservative bound on its distance to a value
-    known to lie within err of mid."""
-    value = float(mid)
-    if err == 0 and Fraction(value) == mid:
-        return value, 0.0
-    # float(mid) is correctly rounded: one half-ulp of conversion error.
-    conv = abs(value) * 2.0 ** -52 + 5e-324
-    return value, float(err) * (1 + 2.0 ** -50) + conv
 
 
 def _quad_sign(a: RationalLike, b: RationalLike, d: int) -> int:
@@ -246,7 +238,10 @@ class QuadExt(Immutable):
         return (self.A, self.B, self.q, self.d) == (other.A, other.B, other.q, other.d)
 
     def __hash__(self) -> int:
-        return hash((self.A, self.B, self.q, self.d) if self.B else self.a)
+        # a rational hashes as the int or Fraction it equals
+        if self.B:
+            return hash((self.A, self.B, self.q, self.d))
+        return hash(self.A if self.q == 1 else Fraction(self.A, self.q))
 
     def __bool__(self) -> bool:
         return self.A != 0 or self.B != 0
@@ -362,8 +357,9 @@ class QuadExt(Immutable):
     def to_float(self, precision_bits: int = 53) -> tuple[float, float]:
         """Floating value with a conservative absolute error bound, so a
         certified bracket [value - bound, value + bound] of the element:
-        ``RadicalSum.of(self).to_float(precision_bits)``, from the integers
-        (see :func:`_surd_float`), the 53-bit one kept by an irrational:
+        ``GeneralRadicalSum.of(self).to_float(precision_bits)`` of the test
+        oracles (``tests/oracles.py``), from the integers (see
+        :func:`_surd_float`), the 53-bit one kept by an irrational:
         ``float()``, so the CSV float column, and the float filters of
         ``double_cover`` and ``diagnostics`` share it.  ``compare`` and the
         ``PointSet`` sort take no float.  Raises OverflowError beyond the
@@ -434,7 +430,7 @@ def _compare(u: QuadExt, v: QuadExt) -> int:
     against a rational, it is the sign of the integer difference
     (A_u*q_v - A_v*q_u) + (B_u*q_v - B_v*q_u)*sqrt(d), over q_u*q_v > 0
     (plain differences when q_u = q_v); across two fields, that of a
-    :class:`RadicalSum`."""
+    :class:`RadicalSum` of Q(sqrt(d_u), sqrt(d_v))."""
     d = u.d
     if d == 1:
         d = v.d
@@ -472,9 +468,8 @@ _RE_FULL = re.compile(
 
 
 # The largest radicand parse_quadext accepts.  squarefree_split trial-
-# divides up to the square root, and a product of two radicands (as a
-# mixed-field RadicalSum forms) is split too, so this bound keeps every
-# split to well under a second.
+# divides up to the square root, so this bound keeps every split to well
+# under a second.
 MAX_RADICAND = 10**6
 
 
@@ -526,118 +521,45 @@ def parse_quadext(text: str) -> QuadExt:
     raise ParseError(f"cannot parse exact number {text!r}")
 
 
-# -- sums of several radicals -------------------------------------------------
+# -- sums of radicals in one biquadratic field -------------------------------
 
 
 class RadicalSum(Immutable):
-    """Finite sum of c_k * sqrt(d_k) with distinct squarefree d_k >= 1.
+    """Element (A + B*sqrt(d) + C*sqrt(e) + D*sqrt(d)*sqrt(e))/q of one
+    field Q(sqrt(d), sqrt(e)): the value every exact decision about a set
+    with one radical per axis forms (norms, distances, cross and dot
+    products, comparisons across the two axes' fields).
 
-    Closed under ring operations (products reduce sqrt(d1)*sqrt(d2) to a
-    single squarefree radical), with an exact zero test by linear
-    independence of distinct squarefree radicals over Q.  Signs of nonzero
-    values are decided by escalating dyadic intervals.
+    Stored as integers in lowest terms with q > 0.  d < e are the two
+    smallest radicands of the nonzero terms, each squarefree; a value with
+    one radical keeps C = D = 0 and e = 1, and a rational also d = 1.  The
+    form is canonical, so equality and hashing are componentwise.  A value
+    whose terms no one such field holds raises :class:`FieldMismatchError`.
     """
 
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Optional[dict[int, Fraction]] = None):
-        clean: dict[int, Fraction] = {}
-        for d, c in (terms or {}).items():
-            if d != 1 and c:
-                f, d = squarefree_split(d)
-                c *= f
-            clean[d] = clean.get(d, _ZERO) + c
-        _setattr(self, "_terms", {d: c for d, c in clean.items() if c})
-
-    @classmethod
-    def _squarefree(cls, terms: dict[int, Fraction]) -> "RadicalSum":
-        """The sum of terms whose radicands are squarefree already, as the
-        ring operations make them: none is factored again."""
-        rs = cls.__new__(cls)
-        _setattr(rs, "_terms", {d: c for d, c in terms.items() if c})
-        return rs
+    __slots__ = ("A", "B", "C", "D", "q", "d", "e")
 
     @classmethod
     def of(cls, *values: Union[QuadExt, Fraction, int]) -> "RadicalSum":
-        terms: dict[int, Fraction] = {}
-        for v in values:
-            if isinstance(v, QuadExt):
-                terms[1] = terms.get(1, _ZERO) + v.a
-                if v.B:
-                    terms[v.d] = terms.get(v.d, _ZERO) + v.b
-            else:
-                terms[1] = terms.get(1, _ZERO) + Fraction(v)
-        return cls._squarefree(terms)
+        """The sum of the values."""
+        return _sum_of_products(*((1, v, 1) for v in values))
 
     @property
     def terms(self) -> dict[int, Fraction]:
-        return dict(self._terms)
+        """The coefficient of each nonzero term, by squarefree radicand."""
+        nums, q = _numerators(self)
+        return {r: Fraction(n, q) for r, n in nums.items()}
 
-    def __repr__(self) -> str:
-        if not self._terms:
-            return "RadicalSum(0)"
-        bits = []
-        for d in sorted(self._terms):
-            c = self._terms[d]
-            bits.append(str(c) if d == 1 else f"{c}*sqrt({d})")
-        return f"RadicalSum({' + '.join(bits)})"
-
-    def __eq__(self, other) -> bool:
-        other = _lift_rs(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
+    is_zero = property(lambda self: self.d == 1 and not self.A)
 
     def __add__(self, other) -> "RadicalSum":
-        other = _lift_rs(other)
-        if other is NotImplemented:
-            return NotImplemented
-        terms = dict(self._terms)
-        for d, c in other._terms.items():
-            terms[d] = terms.get(d, _ZERO) + c
-        return RadicalSum._squarefree(terms)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RadicalSum":
-        return RadicalSum._squarefree({d: -c for d, c in self._terms.items()})
+        return _sum_of_products((1, self, 1), (1, other, 1))
 
     def __sub__(self, other) -> "RadicalSum":
-        other = _lift_rs(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "RadicalSum":
-        other = _lift_rs(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
+        return _sum_of_products((1, self, 1), (-1, other, 1))
 
     def __mul__(self, other) -> "RadicalSum":
-        other = _lift_rs(other)
-        if other is NotImplemented:
-            return NotImplemented
-        # d1/g and d2/g are coprime and squarefree, so their product is too
-        terms: dict[int, Fraction] = {}
-        for d1, c1 in self._terms.items():
-            for d2, c2 in other._terms.items():
-                g = gcd(d1, d2)
-                m = (d1 // g) * (d2 // g)
-                terms[m] = terms.get(m, _ZERO) + c1 * c2 * g
-        return RadicalSum._squarefree(terms)
-
-    __rmul__ = __mul__
+        return _sum_of_products((1, self, other))
 
     def approx(self, precision_bits: int = 53) -> tuple[Fraction, Fraction]:
         """Dyadic midpoint plus rigorous error bound for the sum: each
@@ -645,7 +567,7 @@ class RadicalSum(Immutable):
         k = m + 1, with m bits from :func:`_radical_bits`, so each term's
         error stays below 2**-(precision_bits+9)."""
         mid = err = _ZERO
-        for d, c in self._terms.items():
+        for d, c in self.terms.items():
             if d == 1:
                 mid += c
                 continue
@@ -655,70 +577,93 @@ class RadicalSum(Immutable):
             err += abs(c) / scale
         return mid, err
 
-    def _split(self) -> tuple[Fraction, list[tuple[int, Fraction]]]:
-        """The rational part and the (d, c) terms with d > 1."""
-        irr = [(d, c) for d, c in self._terms.items() if d != 1]
-        return self._terms.get(1, Fraction(0)), irr
-
     def sign(self) -> int:
-        """Exact sign in {-1, 0, 1}; 0 only for the zero sum.
-
-        Square roots of distinct squarefree integers are linearly
-        independent over Q (Besicovitch 1940), so a sum with nonempty
-        terms is nonzero.  Its dyadic error bound shrinks to 0 as the
-        precision doubles from 64 bits, so the loop below terminates.
-        """
-        rat, irr = self._split()
-        if len(irr) <= 1:
-            d, c = irr[0] if irr else (1, Fraction(0))
-            return _quad_sign(rat, c, d)
-        bits = 64
-        while True:
-            mid, err = self.approx(bits)
-            if mid > err:
-                return 1
-            if mid < -err:
-                return -1
-            bits *= 2
+        """Exact sign in {-1, 0, 1}, from three integer signs: q times the
+        value is alpha + beta*sqrt(e), alpha = A + B*sqrt(d) and beta =
+        C + D*sqrt(d).  Unless alpha and beta have opposite signs, one of
+        them decides; else alpha's sign times that of alpha*alpha -
+        beta*beta*e, which lies in Q(sqrt(d)) and is not 0, as e is not a
+        square there."""
+        A, B, C, D, d, e = self.A, self.B, self.C, self.D, self.d, self.e
+        sa, sb = _quad_sign(A, B, d), _quad_sign(C, D, d)
+        if not sb:
+            return sa
+        if not sa or sa == sb:
+            return sb
+        return sa * _quad_sign(A * A + B * B * d - e * (C * C + D * D * d),
+                               2 * (A * B - e * C * D), d)
 
     def to_quadext(self) -> QuadExt:
         """Convert back when at most one radical is present."""
-        a, irr = self._split()
-        if len(irr) > 1:
+        if self.e != 1:
             raise ValueError("value does not lie in a single quadratic field")
-        if not irr:
-            return QuadExt(a)
-        d, c = irr[0]
-        return QuadExt(a, c, d)
-
-    def to_float(self, precision_bits: int = 53) -> tuple[float, float]:
-        return _float_with_bound(*self.approx(precision_bits))
-
-    def __float__(self) -> float:
-        return self.to_float()[0]
+        return _quad(self.A, self.B, self.q, self.d)
 
 
-def _lift_rs(x) -> Union[RadicalSum, type(NotImplemented)]:
+def _numerators(x) -> tuple[dict[int, int], int]:
+    """A RadicalSum, QuadExt or rational as the numerator of each nonzero
+    term by radicand, and the denominator q they share."""
     if isinstance(x, RadicalSum):
-        return x
-    if isinstance(x, (QuadExt, int, Fraction)):
-        return RadicalSum.of(x)
-    return NotImplemented
+        # sqrt(d)*sqrt(e) is g*sqrt(de/g**2), g = gcd(d, e)
+        d, e = x.d, x.e
+        g = gcd(d, e)
+        rads = (1, d, e, d // g * (e // g))
+        nums = (x.A, x.B, x.C, x.D * g)
+        return {r: n for r, n in zip(rads, nums) if n}, x.q
+    u = _lift(x)
+    if u is NotImplemented:
+        raise TypeError(f"cannot combine a RadicalSum with {type(x).__name__}")
+    return ({1: u.A, u.d: u.B} if u.B else {1: u.A}), u.q
+
+
+def _sum_of_products(*parts: tuple) -> RadicalSum:
+    """The sum of s*x*y over the (s, x, y) in parts, each factor a
+    RadicalSum, QuadExt or rational: sqrt(r)*sqrt(t) is g*sqrt(rt/g**2),
+    g = gcd(r, t), squarefree again, so no radicand is factored."""
+    parts = [(s, _numerators(x), _numerators(y)) for s, x, y in parts]
+    q = prod(qx * qy for _, (_, qx), (_, qy) in parts)
+    terms: dict[int, int] = {}
+    for s, (nx, qx), (ny, qy) in parts:
+        f = s * (q // (qx * qy))
+        for r, n in nx.items():
+            for t, k in ny.items():
+                g = gcd(r, t)
+                m = r // g * (t // g)
+                terms[m] = terms.get(m, 0) + f * n * k * g
+    return _radical_sum(terms, q)
+
+
+def _radical_sum(terms: dict[int, int], q: int) -> RadicalSum:
+    """The canonical RadicalSum of the sum of n*sqrt(r)/q over the items
+    (r, n) of terms, r squarefree and q != 0."""
+    rads = sorted(r for r, n in terms.items() if n and r != 1)
+    d, e = (rads + [1, 1])[:2]
+    g = gcd(d, e)
+    m = d // g * (e // g)
+    if rads[2:] not in ([], [m]):
+        raise FieldMismatchError(
+            f"radicands {rads} lie in no one field Q(sqrt(d), sqrt(e))"
+        )
+    # n*sqrt(m) is n*sqrt(d)*sqrt(e)/g, so all but D take the factor g
+    B, C = (terms[r] if r > 1 else 0 for r in (d, e))
+    D = terms.get(m, 0) if e > 1 else 0
+    nums = (terms.get(1, 0) * g, B * g, C * g, D, q * g)
+    h = gcd(*nums) if q > 0 else -gcd(*nums)
+    rs = _new(RadicalSum)
+    for name, v in zip(RadicalSum.__slots__, [n // h for n in nums] + [d, e]):
+        _setattr(rs, name, v)
+    return rs
 
 
 def dot(u, v) -> RadicalSum:
     """Exact dot product of two planar vectors whose coordinates may lie
     in different quadratic fields."""
-    return RadicalSum.of(u[0]) * RadicalSum.of(v[0]) + RadicalSum.of(
-        u[1]
-    ) * RadicalSum.of(v[1])
+    return _sum_of_products((1, u[0], v[0]), (1, u[1], v[1]))
 
 
 def cross(u, v) -> RadicalSum:
     """Exact 2D cross product u_x*v_y - u_y*v_x."""
-    return RadicalSum.of(u[0]) * RadicalSum.of(v[1]) - RadicalSum.of(
-        u[1]
-    ) * RadicalSum.of(v[0])
+    return _sum_of_products((1, u[0], v[1]), (-1, u[1], v[0]))
 
 
 def norm_sq_bracket(x: QuadExt, y: QuadExt) -> tuple[float, float]:
@@ -788,12 +733,11 @@ class PlanarPoint(Immutable):
         return PlanarPoint(-self.x, -self.y, self.tag)
 
     def dist_sq(self, other: "PlanarPoint") -> RadicalSum:
-        dx = self.x - other.x
-        dy = self.y - other.y
-        return RadicalSum.of(dx * dx, dy * dy)
+        diff = (self.x - other.x, self.y - other.y)
+        return dot(diff, diff)
 
     def norm_sq(self) -> RadicalSum:
-        return RadicalSum.of(self.x * self.x, self.y * self.y)
+        return dot((self.x, self.y), (self.x, self.y))
 
 
 def point(x, y, tag: Optional[str] = None) -> PlanarPoint:

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import holoset
+from holoset import cli
 from holoset import close_pair as close_pair_mod
 from holoset.cli import main
 from holoset.exact import PlanarPoint, parse_quadext, read_pointset_csv
@@ -268,6 +269,17 @@ def test_close_pair_bad_config_exits_two(tmp_path, capsys):
     assert "object" in capsys.readouterr().err
 
 
+def test_close_pair_three_fields_exit_two(tmp_path, capsys):
+    # cross(l, h) = sqrt(2) - sqrt(3) + sqrt(5) + sqrt(10) lies in no one
+    # field Q(sqrt(d), sqrt(e))
+    pair = {**GOLDEN_PAIR, "l": ["1+sqrt(2)", "1"], "h": ["1+sqrt(3)", "1+sqrt(5)"]}
+    path = write_json(tmp_path / "pair.json", pair)
+    assert run("close-pair", path, "--radius", "0.01") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: radicands [2, 3, 5, 10] ")
+
+
 @pytest.mark.parametrize(
     "error",
     [
@@ -389,14 +401,19 @@ def test_plot_empty_is_axes_only(tmp_path, capsys):
     assert svg.rstrip().endswith("</svg>")
 
 
-def test_plot_tag_classes(tmp_path, capsys):
+def test_plot_tag_classes(tmp_path, capsys, monkeypatch):
     csv_path = tmp_path / "pts.csv"
     assert run("example", "--radius", "5", "--out", csv_path) == 0
+    tag_class = cli._tag_class
+    calls = []
+    monkeypatch.setattr(cli, "_tag_class", lambda t: calls.append(t) or tag_class(t))
     assert run("plot", csv_path) == 0
     svg = capsys.readouterr().out
     for cls in (".tag-uu", ".tag-uv", ".tag-vu"):
         assert cls in svg
     assert 'class="tag-uv"' in svg
+    # one class text per distinct tag, not per point
+    assert sorted(calls) == ["UU", "UV", "VU"]
 
 
 def test_plot_axis_range(tmp_path, capsys):

@@ -23,7 +23,7 @@ from holoset.diagnostics import (
     min_gap,
     report_to_json_dict,
 )
-from holoset.double_cover import closed_form
+from holoset.double_cover import ShiftVector, closed_form
 from holoset.exact import (
     FloatRangeError,
     PlanarPoint,
@@ -33,7 +33,7 @@ from holoset.exact import (
     point,
     sqrt_bounds_frac,
 )
-from oracles import gcd_filtered_window
+from oracles import GeneralRadicalSum, gcd_filtered_window
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -63,6 +63,46 @@ def test_min_gap_example_surface():
     tags = {res.pair[0].tag, res.pair[1].tag}
     assert tags <= {"UU", "UV", "VU"}
     assert len(tags) == 2
+
+
+def example_gap_sq(shift: ShiftVector) -> GeneralRadicalSum:
+    """min(1, dist(t, Z^2)^2, dist(2t, Z^2)^2), the squared gap of the
+    example's whole holonomy set: the nearest integer point to a point
+    is a corner of the unit square that holds it."""
+    best = GeneralRadicalSum.of(1)
+    for k in (1, 2):
+        x, y = k * shift.tx, k * shift.ty
+        for a in (x.floor(), x.floor() + 1):
+            for b in (y.floor(), y.floor() + 1):
+                sq = GeneralRadicalSum.of((x - a) * (x - a), (y - b) * (y - b))
+                if (sq - best).sign() < 0:
+                    best = sq
+    return best
+
+
+SQRT5_SQRT7 = ShiftVector(QuadExt(-2, 1, 5), QuadExt(-2, 1, 7))
+# t near (1/2, 1/2): dist(2t, Z^2) is the gap, between the two translates
+NEAR_HALF = ShiftVector(QuadExt(0, Fraction(1, 3), 2), QuadExt(0, Fraction(2, 7), 3))
+
+
+@pytest.mark.parametrize(
+    "shift, radius",
+    [(None, 3), (None, 8), (None, 16), (SQRT5_SQRT7, 3), (SQRT5_SQRT7, 8),
+     (NEAR_HALF, 3), (NEAR_HALF, 8)],
+    ids=["sqrt2-sqrt3-3", "sqrt2-sqrt3-8", "sqrt2-sqrt3-16", "sqrt5-sqrt7-3",
+         "sqrt5-sqrt7-8", "near-half-3", "near-half-8"],
+)
+def test_min_gap_is_the_example_gap_constant(shift, radius):
+    # the gap of S = P u (Z^2 + t) u (Z^2 - t) is attained inside the ball
+    res = min_gap(closed_form(shift, radius))
+    want = example_gap_sq(shift or ShiftVector())
+    p, q = res.pair
+    dx, dy = p.x - q.x, p.y - q.y
+    assert (GeneralRadicalSum.of(dx * dx, dy * dy) - want).is_zero
+    # |gap - sqrt(want)| <= err, squared; want within werr of mid
+    mid, werr = want.approx(200)
+    gap, err = Fraction(res.gap), Fraction(res.err)
+    assert abs(gap * gap - mid) + werr <= err * (2 * gap + err)
 
 
 def test_min_gap_matches_brute_force():
@@ -637,7 +677,8 @@ def sqrt_bracket(n: RadicalSum):
 def exact_counts(points, radii):
     """Points in each closed ball, one exact sign per point and radius."""
     return [
-        sum((p.norm_sq() - RadicalSum.of(r * r)).sign() <= 0 for p in points)
+        sum(GeneralRadicalSum.of(p.x * p.x, p.y * p.y, -r * r).sign() <= 0
+            for p in points)
         for r in radii
     ]
 

@@ -24,7 +24,7 @@ from holoset.exact import (
     point,
     sqrt_bounds_frac,
 )
-from oracles import segment_oracle, slope_class
+from oracles import GeneralRadicalSum, segment_oracle, slope_class
 
 SQRT2M1 = QuadExt(-1, 1, 2)
 SQRT3M1 = QuadExt(-1, 1, 3)
@@ -124,14 +124,14 @@ def test_negation_closure_and_family_swap():
 
 def test_smallest_norm_element():
     ps = closed_form(None, 1)
-    best = min(ps.points, key=lambda p: p.norm_sq().to_float()[0])
+    best = min(ps.points, key=lambda p: p.norm_sq().approx()[0])
     # the minimum is attained by the shifted point nearest the origin,
     # in either sign
     assert (best.x, best.y) in {
         (SQRT2M1, SQRT3M1 - 1),
         (-SQRT2M1, 1 - SQRT3M1),
     }
-    norm = math.sqrt(best.norm_sq().to_float()[0])
+    norm = math.sqrt(best.norm_sq().approx()[0])
     assert norm == pytest.approx(0.4933259, abs=1e-6)
 
 
@@ -246,7 +246,7 @@ def reference_closed_form(shift, radius):
             x = a + sx
             for b in range((-R - sy - 1).floor(), (R - sy + 1).floor() + 2):
                 y = b + sy
-                if RadicalSum.of(x * x, y * y, -R2).sign() <= 0:
+                if GeneralRadicalSum.of(x * x, y * y, -R2).sign() <= 0:
                     pts.append(PlanarPoint(x, y, tag))
     return PointSet(pts)
 
@@ -303,7 +303,7 @@ def test_ball_row_where_floats_lose_the_row():
         expected = [
             b
             for b in range(-80, 80)
-            if RadicalSum.of(xx, (b + SQRT3M1) * (b + SQRT3M1), -R2).sign() <= 0
+            if GeneralRadicalSum.of(xx, (b + SQRT3M1) * (b + SQRT3M1), -R2).sign() <= 0
         ]
         row = _ball_row(x, SQRT3M1, R2)
         assert list(row) == expected and expected, extra

@@ -20,7 +20,6 @@ from holoset.double_cover import closed_form, geometric_oracle
 import holoset.exact as exact
 from holoset.exact import (
     MAX_RADICAND,
-    _float_with_bound,
     CsvRowError,
     FieldMismatchError,
     ParseError,
@@ -28,6 +27,7 @@ from holoset.exact import (
     PointSet,
     QuadExt,
     RadicalSum,
+    cross,
     dot,
     floor_surd,
     format_quadext,
@@ -38,6 +38,7 @@ from holoset.exact import (
     write_pointset_csv,
 )
 from holoset.origami import Origami, enumerate_holonomies
+from oracles import GeneralRadicalSum, general_cross, general_dot
 
 SQUAREFREE = [1, 2, 3, 5, 6, 7, 10, 11, 13]
 
@@ -506,7 +507,7 @@ def test_to_float_keeps_only_its_53_bit_irrational_bracket():
     for _ in range(200):
         a, b = random_parts(rng)
         u = QuadExt(a, b, rng.choice(SQUAREFREE))
-        fresh = _float_with_bound(*RadicalSum.of(u).approx(53))
+        fresh = GeneralRadicalSum.of(u).to_float(53)
         assert u._fb is None
         got = u.to_float()
         assert [x.hex() for x in got] == [x.hex() for x in fresh]
@@ -543,17 +544,21 @@ def test_radical_sum_close_call_resolves():
 def test_radical_sum_sign_is_never_zero_for_a_nonzero_sum():
     # (sqrt(3) - sqrt(2))**2501 = a*sqrt(3) + b*sqrt(2) with integers a, b
     # of about 1250 digits; its value, near 10**-1247, cancels far below
-    # 4096 bits, yet distinct squarefree radicals make it nonzero.
-    base = RadicalSum({3: Fraction(1), 2: Fraction(-1)})
-    s, n = RadicalSum({1: Fraction(1)}), 2501
-    while n:
-        if n & 1:
-            s = s * base
-        base = base * base
-        n >>= 1
-    assert set(s.terms) == {2, 3}
-    assert s.sign() == 1
-    assert (-s).sign() == -1
+    # 4096 bits, yet distinct squarefree radicals make it nonzero: the
+    # integer sign and the reference's doubling precision both find it
+    for cls, base in (
+        (RadicalSum, RadicalSum.of(QuadExt(0, 1, 3), QuadExt(0, -1, 2))),
+        (GeneralRadicalSum, GeneralRadicalSum({3: Fraction(1), 2: Fraction(-1)})),
+    ):
+        s, n = cls.of(1), 2501
+        while n:
+            if n & 1:
+                s = s * base
+            base = base * base
+            n >>= 1
+        assert set(s.terms) == {2, 3}
+        assert s.sign() == 1
+        assert (s * -1).sign() == -1
 
 
 def test_radical_sum_product_reduces_radicals():
@@ -562,8 +567,8 @@ def test_radical_sum_product_reduces_radicals():
 
 
 def test_radical_sum_keeps_reducing_given_radicands():
-    assert RadicalSum({8: 1}).terms == {2: Fraction(2)}
-    assert RadicalSum({8: 1, 2: -2}).is_zero
+    assert GeneralRadicalSum({8: 1}).terms == {2: Fraction(2)}
+    assert GeneralRadicalSum({8: 1, 2: -2}).is_zero
 
 
 def test_radical_sum_products_are_not_factored_again():
@@ -589,7 +594,7 @@ def test_radical_sum_matches_mpmath():
             )
             for _ in range(3)
         ]
-        s = RadicalSum.of(*terms)
+        s = GeneralRadicalSum.of(*terms)
         with mpmath.workdps(50):
             ref = sum(mp_value(t) for t in terms)
             got = s.sign()
@@ -597,6 +602,74 @@ def test_radical_sum_matches_mpmath():
                 assert got == (1 if ref > 0 else -1)
             else:
                 assert got == 0
+
+
+# field pairs (d, e) of the two axes; (2, 6) and (6, 10) share a factor, and
+# (2, 2), (3, 1) and (1, 1) give one field or none
+FIELD_PAIRS = [(2, 3), (5, 7), (2, 6), (3, 5), (6, 10), (2, 2), (3, 1), (1, 1)]
+
+
+def biquadratic_vectors(rng: random.Random, count: int):
+    """Pairs of vectors with x in Q(sqrt(d)) and y in Q(sqrt(e)): every
+    other pair parallel, so that its cross product is exactly 0."""
+
+    def coord(d: int) -> QuadExt:
+        return QuadExt(Fraction(rng.randint(-30, 30), rng.randint(1, 6)),
+                       Fraction(rng.randint(-30, 30), rng.randint(1, 6)), d)
+
+    for i in range(count):
+        d, e = FIELD_PAIRS[i % len(FIELD_PAIRS)]
+        u = (coord(d), coord(e))
+        if i % 2 == 0:
+            k = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            yield u, (u[0] * k, u[1] * k)
+        else:
+            yield u, (coord(d), coord(e))
+
+
+def test_radical_sum_sign_agrees_with_general_sum():
+    values = zeros = 0
+    for u, v in biquadratic_vectors(random.Random(24), 10_000):
+        for got, want in ((cross(u, v), general_cross(u, v)),
+                          (dot(u, v), general_dot(u, v))):
+            assert got.sign() == want.sign(), (u, v)
+            assert got.terms == want.terms and got.is_zero == want.is_zero
+            values += 1
+            zeros += want.is_zero
+    assert values == 20_000 and zeros >= values // 4
+
+
+def test_radical_sum_approx_is_the_general_sums():
+    for u, v in biquadratic_vectors(random.Random(25), 400):
+        got, want = cross(u, v), general_cross(u, v)
+        for bits in (53, 64, 120, 200):
+            assert got.approx(bits) == want.approx(bits), (u, v, bits)
+
+
+def test_radical_sum_equality_is_by_value():
+    r2, r3, r6 = QuadExt(0, 1, 2), QuadExt(0, 1, 3), QuadExt(0, 1, 6)
+    # sqrt(2) + sqrt(6) from the fields (2, 3) and (2, 6)
+    a = RadicalSum.of(r2, r3, r6) - RadicalSum.of(r3)
+    b = RadicalSum.of(r2, r6)
+    assert a == b and hash(a) == hash(b) and a.terms == {2: 1, 6: 1}
+    # a lone sqrt(2)*sqrt(3) is the QuadExt sqrt(6)
+    c = cross((r2, 0), (0, r3))
+    assert c.to_quadext() == r6 and c == RadicalSum.of(r6)
+    assert RadicalSum.of(r2, -r2, Fraction(1, 2)).to_quadext() == Fraction(1, 2)
+    with pytest.raises(ValueError):
+        b.to_quadext()
+
+
+def test_radical_sum_refuses_a_third_field():
+    r2, r3, r5 = QuadExt(0, 1, 2), QuadExt(0, 1, 3), QuadExt(0, 1, 5)
+    with pytest.raises(FieldMismatchError, match=r"\[2, 3, 5\]"):
+        RadicalSum.of(r2, r3, r5)
+    with pytest.raises(FieldMismatchError, match=r"\[2, 3, 5, 10\]"):
+        cross((1 + r2, QuadExt(1)), (1 + r3, 1 + r5))
+    with pytest.raises(FieldMismatchError):
+        dot((1 + r2, 1 + r3), (1 + r5, QuadExt(1)))
+    # a third radical that cancels is no third field
+    assert RadicalSum.of(r2, r3, r5, -r5) == RadicalSum.of(r2, r3)
 
 
 # -- points and point sets ------------------------------------------------------
@@ -667,7 +740,7 @@ def test_pointset_rejects_mixed_radicals_on_one_axis():
 def _reference_coord_cmp(u: QuadExt, v: QuadExt) -> int:
     if u.a == v.a and u.b == v.b and u.d == v.d:
         return 0
-    return RadicalSum.of(u, -v).sign()  # exact, with no float bracket
+    return GeneralRadicalSum.of(u, -v).sign()  # exact, with no float bracket
 
 
 def _reference_points(pts) -> list[PlanarPoint]:
@@ -959,6 +1032,10 @@ def test_radical_set_builds_no_rational_key(monkeypatch):
         want = _reference_points(pts)
         assert all(g is w for g, w in zip(got, want)) and len(got) == len(want)
     assert counts[0] == counts[1]
+    # integer coordinates rank and hash as ints: no Fraction at all
+    pts = [PlanarPoint(k + QuadExt(0, 1, 2), QuadExt(k % 7)) for k in range(400)]
+    made.clear()
+    assert len(PointSet(pts)) == 400 and made == []
 
 
 def _read_tags(ps: PointSet) -> list:

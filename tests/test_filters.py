@@ -26,16 +26,8 @@ import pytest
 
 from holoset.diagnostics import growth_counts
 from holoset.double_cover import _norm_le
-from holoset.exact import (
-    PointSet,
-    QuadExt,
-    RadicalSum,
-    _float_with_bound,
-    cross,
-    dot,
-    point,
-)
-from oracles import _strictly_between
+from holoset.exact import PointSet, QuadExt, point
+from oracles import GeneralRadicalSum, _strictly_between, general_cross, general_dot
 
 TINY = Fraction(1, 10**30)
 HUGE = 10**400  # beyond the float range
@@ -74,7 +66,7 @@ def random_quad(rng: random.Random, d: int, digits: int = 6) -> QuadExt:
 
 def near(u: QuadExt, delta: Fraction) -> QuadExt:
     """A rational within |delta| of u, on the side of delta's sign."""
-    mid, err = RadicalSum.of(u).approx(200)
+    mid, err = GeneralRadicalSum.of(u).approx(200)
     return QuadExt(mid + (err if delta > 0 else -err) + delta)
 
 
@@ -90,7 +82,7 @@ def test_to_float_is_float_with_bound_of_approx(bits):
             random_rational(rng, 40) if rng.random() < 0.9 else 0,
             rng.choice((1, 2, 3, 5, 8, 12, 9973)),
         )
-        got, want = u.to_float(bits), _float_with_bound(*RadicalSum.of(u).approx(bits))
+        got, want = u.to_float(bits), GeneralRadicalSum.of(u).to_float(bits)
         assert [x.hex() for x in got] == [x.hex() for x in want], (u, bits)
 
 
@@ -105,13 +97,13 @@ def test_to_float_extremes_match_float_with_bound():
     ]
     for u in values:
         for bits in (24, 53, 113):
-            got, want = u.to_float(bits), _float_with_bound(*RadicalSum.of(u).approx(bits))
+            got, want = u.to_float(bits), GeneralRadicalSum.of(u).to_float(bits)
             assert [x.hex() for x in got] == [x.hex() for x in want], u
     for u in (QuadExt(HUGE), QuadExt(HUGE, 1, 2), QuadExt(0, HUGE, 3)):
         with pytest.raises(OverflowError):
             u.to_float()
         with pytest.raises(OverflowError):
-            _float_with_bound(*RadicalSum.of(u).approx(53))
+            GeneralRadicalSum.of(u).to_float(53)
 
 
 # -- compare -------------------------------------------------------------------
@@ -152,7 +144,7 @@ def compare_cases() -> list[tuple]:
 
 def test_compare_agrees_with_exact_sign():
     for u, v in compare_cases():
-        want = RadicalSum.of(u, -v).sign()
+        want = GeneralRadicalSum.of(u, -v).sign()
         if u.d == v.d or u.d == 1 or v.d == 1:
             assert (u - v).sign() == want
         assert u.compare(v) == want, (u, v)
@@ -161,7 +153,7 @@ def test_compare_agrees_with_exact_sign():
 
 def test_compare_takes_ints():
     for g in GAPS[2]:
-        assert g.compare(0) == RadicalSum.of(g).sign()
+        assert g.compare(0) == GeneralRadicalSum.of(g).sign()
 
 
 # -- floor ---------------------------------------------------------------------
@@ -191,7 +183,8 @@ def floor_cases() -> list[QuadExt]:
 def test_floor_agrees_with_exact_walk():
     for u in floor_cases():
         assert u.floor() == integer_floor(u), u
-    assert any(abs(RadicalSum.of(g).approx(200)[0]) < Fraction(1, 10**20) for g in GAPS[2])
+    assert any(abs(GeneralRadicalSum.of(g).approx(200)[0]) < Fraction(1, 10**20)
+               for g in GAPS[2])
 
 
 # -- _norm_le ------------------------------------------------------------------
@@ -214,7 +207,7 @@ def norm_le_cases() -> list[tuple]:
     pairs += [(g, QuadExt(0)) for g in GAPS[2]]
     cases = []
     for x, y in pairs:
-        n = RadicalSum.of(x * x, y * y)
+        n = GeneralRadicalSum.of(x * x, y * y)
         mid, err = n.approx(200)
         radii = [mid - err - TINY, mid + err + TINY, mid + 2 * err, mid - 2 * err]
         if len(n.terms) <= 1:
@@ -227,7 +220,7 @@ def norm_le_cases() -> list[tuple]:
 
 def test_norm_le_agrees_with_exact_sign():
     for x, y, R2 in norm_le_cases():
-        want = RadicalSum.of(x * x, y * y, -R2).sign() <= 0
+        want = GeneralRadicalSum.of(x * x, y * y, -R2).sign() <= 0
         assert _norm_le(x, y, R2) == want, (x, y, R2)
 
 
@@ -238,11 +231,11 @@ def exact_between(w, src, dst) -> bool:
     """A second exact formula for _strictly_between: w - src is parallel
     to dst - src and w lies past neither end."""
     (wx, wy), (sx, sy), (dx, dy) = w, src, dst
-    if not cross((wx - sx, wy - sy), (dx - sx, dy - sy)).is_zero:
+    if not general_cross((wx - sx, wy - sy), (dx - sx, dy - sy)).is_zero:
         return False
-    if dot((wx - sx, wy - sy), (dx - sx, dy - sy)).sign() <= 0:
+    if general_dot((wx - sx, wy - sy), (dx - sx, dy - sy)).sign() <= 0:
         return False
-    return dot((wx - dx, wy - dy), (sx - dx, sy - dy)).sign() > 0
+    return general_dot((wx - dx, wy - dy), (sx - dx, sy - dy)).sign() > 0
 
 
 def between_cases() -> list[tuple]:
@@ -310,6 +303,8 @@ def test_growth_counts_agree_with_per_point_signs():
     radii = sorted(r for r in radii if r > 0)
     growth = growth_counts(ps, radii)
     expected = [
-        sum((p.norm_sq() - r * r).sign() <= 0 for p in ps.points) for r in radii
+        sum(GeneralRadicalSum.of(p.x * p.x, p.y * p.y, -r * r).sign() <= 0
+            for p in ps.points)
+        for r in radii
     ]
     assert [n for _, n in growth.counts] == expected
