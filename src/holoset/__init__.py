@@ -8,31 +8,4 @@ gcd-filtered lattice sets via CRT certificates, and produces arbitrarily
 close holonomy pairs from parallel cylinder twists.
 """
 
-from __future__ import annotations
-
-from .exact import (
-    FieldMismatchError,
-    ParseError,
-    PlanarPoint,
-    PointSet,
-    QuadExt,
-    RadicalSum,
-    format_quadext,
-    parse_quadext,
-    point,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "FieldMismatchError",
-    "ParseError",
-    "PlanarPoint",
-    "PointSet",
-    "QuadExt",
-    "RadicalSum",
-    "format_quadext",
-    "parse_quadext",
-    "point",
-    "__version__",
-]

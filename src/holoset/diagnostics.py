@@ -18,6 +18,7 @@ from .exact import (
     FloatRangeError,
     PlanarPoint,
     PointSet,
+    QuadExt,
     RadicalSum,
     _surd_float,
     as_fraction,
@@ -130,6 +131,14 @@ def _cell_pairs(xs, ys, r: float = 0.0) -> tuple[list, float]:
     return found, reach
 
 
+def _difference(memo: dict, a: QuadExt, b: QuadExt) -> QuadExt:
+    """a - b, kept in memo by the ids of a and b (both kept alive)."""
+    key = (id(a), id(b))
+    if key not in memo:
+        memo[key] = a - b
+    return memo[key]
+
+
 def min_gap(ps: PointSet) -> MinGapResult:
     """Smallest pairwise distance and a witnessing pair.
 
@@ -158,11 +167,13 @@ def min_gap(ps: PointSet) -> MinGapResult:
     if best + margin > reach:
         found = _cell_pairs(xs, ys, best + margin)[0]
     # the first pair of each exact difference vector; a PointSet has one
-    # radical per axis, so each difference lies in its axis's field
+    # radical per axis, so each difference lies in its axis's field.  Tied
+    # pairs share coordinate objects: one subtraction per pair of objects
     first: dict[tuple, tuple[int, int]] = {}
+    diffs: dict = {}
     for i, j in sorted((i, j) for d, i, j in found if d <= best + margin):
         p, q = points[i], points[j]
-        key = (p.x - q.x, p.y - q.y)
+        key = (_difference(diffs, p.x, q.x), _difference(diffs, p.y, q.y))
         first.setdefault(key, (i, j))
     best_exact: Optional[RadicalSum] = None
     witness: Optional[tuple[int, int]] = None

@@ -2,9 +2,9 @@
 
 A surface is n unit squares (sheets 0..n-1); crossing the right edge of
 sheet i continues on sheet h[i], crossing the top edge continues on v[i].
-Vertex classes are the cycles of the corner-rotation permutation, and
-saddle connections in a primitive direction come from iterating the
-per-period monodromy.
+A corner of cone angle 2*pi*k is a k-cycle of the commutator of h and v,
+and saddle connections in a primitive direction (p, q) come from
+iterating the per-period monodromy.
 """
 
 from __future__ import annotations
@@ -12,12 +12,11 @@ from __future__ import annotations
 import warnings
 from collections import Counter
 from fractions import Fraction
-from functools import cached_property
 from itertools import compress
 from math import floor, gcd
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator
 
-from .exact import Immutable, PointSet, QuadExt, as_positive, point
+from .exact import PointSet, QuadExt, as_positive, point
 
 Perm = tuple[int, ...]
 
@@ -54,41 +53,10 @@ def _inverse(p: Perm) -> Perm:
     return tuple(inv)
 
 
-class VertexClass(NamedTuple):
-    """One branch point of the torus cover: a cycle of identified corners.
-
-    cone_order k means total angle 2*pi*k; the class is singular when
-    k >= 2 (marked covers also count k = 1 classes, see call sites).
-    """
-
-    sheets: tuple[int, ...]
-    cone_order: int
-    singular: bool
-
-
-class Direction(Immutable):
-    """Primitive integer direction in the closed first quadrant."""
-
-    __slots__ = ("p", "q")
-
-    p: int
-    q: int
-
-    def __init__(self, p: int, q: int):
-        if p < 0 or q < 0 or (p, q) == (0, 0):
-            raise ValueError("direction must be nonzero with p, q >= 0")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-
-    @property
-    def is_primitive(self) -> bool:
-        return gcd(self.p, self.q) == 1
-
-
 class Origami:
     """Transitive permutation pair (h, v) on n >= 1 sheets."""
 
-    __slots__ = ("n", "h", "v", "__dict__")
+    __slots__ = ("n", "h", "v")
 
     def __init__(self, h: Iterable[int], v: Iterable[int]):
         h = tuple(h)
@@ -155,47 +123,9 @@ class Origami:
     def __hash__(self) -> int:
         return hash((self.h, self.v))
 
-    @cached_property
-    def corner_rotation(self) -> Perm:
-        """Permutation sending sheet i to the next sheet counterclockwise
-        around the vertex at i's lower-left corner (one full turn of 2*pi).
-        """
-        hi = _inverse(self.h)
-        vi = _inverse(self.v)
-        return tuple(self.v[self.h[vi[hi[i]]]] for i in range(self.n))
-
     def reflect_h(self) -> "Origami":
         """The surface mirrored left-right: right-edge gluing becomes h^-1."""
         return Origami(_inverse(self.h), self.v)
-
-    @cached_property
-    def _classes(self) -> tuple[VertexClass, ...]:
-        c = self.corner_rotation
-        seen = [False] * self.n
-        out = []
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            cyc = [start]
-            seen[start] = True
-            j = c[start]
-            while j != start:
-                seen[j] = True
-                cyc.append(j)
-                j = c[j]
-            out.append(VertexClass(tuple(cyc), len(cyc), len(cyc) >= 2))
-        return tuple(out)
-
-    @cached_property
-    def _class_order_of_sheet(self) -> tuple[int, ...]:
-        orders = [0] * self.n
-        for vc in self._classes:
-            for i in vc.sheets:
-                orders[i] = vc.cone_order
-        return tuple(orders)
-
-    def has_singularities(self, marked: bool = False) -> bool:
-        return marked or any(vc.singular for vc in self._classes)
 
 
 def _parents(p: int, q: int) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -214,13 +144,16 @@ def _compose(first: Perm, then: Perm) -> Perm:
     return tuple(map(then.__getitem__, first))
 
 
-def monodromy(o: Origami, direction: Direction, memo: Optional[dict] = None) -> Perm:
-    """Sheet permutation after one period of the direction from each lower-
-    left corner: h per right-edge crossing, v per top-edge one, H first at
-    a corner.  It composes its parents' (:func:`_parents`), kept in memo, a
-    dict for this origami that callers may share, made from a stack."""
-    p, q = direction.p, direction.q
-    if not direction.is_primitive:
+def monodromy(o: Origami, direction: tuple[int, int], memo: dict | None = None) -> Perm:
+    """Sheet permutation after one period of the direction (p, q) from each
+    lower-left corner: h per right-edge crossing, v per top-edge one, H first
+    at a corner.  It composes its parents' (:func:`_parents`), kept in memo,
+    a dict for this origami that callers may share, made from a stack."""
+    p, q = direction
+    # refused before _parents, whose descent from a negative pair never ends
+    if p < 0 or q < 0 or (p, q) == (0, 0):
+        raise ValueError("direction must be nonzero with p, q >= 0")
+    if gcd(p, q) != 1:
         raise ValueError(f"direction ({p}, {q}) is not primitive")
     memo = {} if memo is None else memo
     if not memo:
@@ -238,11 +171,15 @@ def monodromy(o: Origami, direction: Direction, memo: Optional[dict] = None) -> 
 
 
 def _singular_flags(o: Origami, marked: bool) -> list[bool]:
-    return [marked or order >= 2 for order in o._class_order_of_sheet]
+    """Whether each sheet's lower-left corner is singular: every corner of a
+    marked surface is, else one that c = v h v^-1 h^-1 moves, since c turns
+    once around a corner and a corner of angle 2*pi*k is a k-cycle of c."""
+    h, v, hi, vi = o.h, o.v, _inverse(o.h), _inverse(o.v)
+    return [marked or v[h[vi[hi[i]]]] != i for i in range(o.n)]
 
 
 def saddle_connections_in_direction(
-    o: Origami, direction: Direction, marked: bool = False
+    o: Origami, direction: tuple[int, int], marked: bool = False
 ) -> Counter:
     """Multiset of step counts s: one entry per singular outgoing prong.
 
@@ -251,11 +188,12 @@ def saddle_connections_in_direction(
     number of torus periods until the next singular corner.  Always
     1 <= s <= n.
     """
+    sigma = monodromy(o, direction)  # refuses a bad direction first
     sing = _singular_flags(o, marked)
     if not any(sing):
         warnings.warn(TORUS_NOTICE, stacklevel=2)
         return Counter()
-    return Counter(_periods_to_singular(monodromy(o, direction), sing))
+    return Counter(_periods_to_singular(sigma, sing))
 
 
 def _periods_to_singular(sigma: Perm, sing: list[bool]) -> Iterator[int]:
@@ -292,19 +230,20 @@ def enumerate_holonomies(o: Origami, radius, marked: bool = False) -> PointSet:
     under negation and canonically ordered.
     """
     R = as_positive(radius, "radius")
-    if not o.has_singularities(marked):
+    mirror = o.reflect_h()
+    flags = [_singular_flags(surf, marked) for surf in (o, mirror)]
+    if not any(flags[0]):
         warnings.warn(TORUS_NOTICE, stacklevel=2)
         return PointSet([])
     # p*p + q*q is an integer, so comparing it with floor(R*R) is exact
     R2 = floor(R * R)
     pts: set[tuple[int, int]] = set()
-    for surf, sx in ((o, 1), (o.reflect_h(), -1)):
-        sing = _singular_flags(surf, marked)
+    for surf, sx, sing in ((o, 1, flags[0]), (mirror, -1, flags[1])):
         memo: dict = {}  # this surface's monodromies, for this call only
         for p, q in primitive_directions(R2):
             if sx < 0 and (p == 0 or q == 0):
                 continue  # axis directions already covered via negation
-            sigma = monodromy(surf, Direction(p, q), memo)
+            sigma = monodromy(surf, (p, q), memo)
             norm2 = p * p + q * q
             for s in set(_periods_to_singular(sigma, sing)):
                 if s * s * norm2 <= R2:

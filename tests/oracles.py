@@ -1,19 +1,20 @@
 """Independent oracles that the tests check the library against.
 
 None of these is on a library path: each re-derives by a second method
-what the library computes (a square-by-square ray trace and a
-letter-by-letter crossing-word walk for the composed monodromy, a
-per-segment blocker scan and an exact slope test for the double cover,
-a windowed gcd filter for the hole inspection, and a general sum of
-radicals whose sign doubles a dyadic precision, for the integer signs of
-``exact.RadicalSum``), or exposes internal state to test.
+what the library computes (a square-by-square turn around each corner for
+the vertex classes that the commutator test flags, a square-by-square ray
+trace and a letter-by-letter crossing-word walk for the composed
+monodromy, a per-segment blocker scan and an exact slope test for the
+double cover, a windowed gcd filter for the hole inspection, and a general
+sum of radicals whose sign doubles a dyadic precision, for the integer
+signs of ``exact.RadicalSum``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import ceil, floor, gcd
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from holoset.double_cover import ShiftVector, _int_range
 from holoset.exact import (
@@ -30,18 +31,67 @@ from holoset.exact import (
     as_positive,
     squarefree_split,
 )
-from holoset.origami import Direction, Origami, VertexClass, _singular_flags
+from holoset.origami import Origami
+
+
+class VertexClass(NamedTuple):
+    """One corner of a square-tiled surface: the sheets whose lower-left
+    corner it is, its cone order k (total angle 2*pi*k), and whether it is
+    a singularity (k >= 2)."""
+
+    sheets: tuple[int, ...]
+    cone_order: int
+    singular: bool
+
+
+def _turn(o: Origami, i: int) -> int:
+    """The sheet reached from sheet i by one counterclockwise turn around
+    its lower-left corner: to the square on the left, the one below that,
+    the one right of that, and the one above that."""
+    left = o.h.index(i)
+    below = o.v.index(left)
+    return o.v[o.h[below]]
 
 
 def vertex_classes(o: Origami) -> list[VertexClass]:
-    """Branch-point classes, ordered by their smallest sheet index."""
-    return list(o._classes)
+    """Branch-point classes, ordered by their smallest sheet index: the
+    cycles of the full turn around a corner, walked square by square."""
+    seen: set[int] = set()
+    out = []
+    for start in range(o.n):
+        if start in seen:
+            continue
+        cyc = [start]
+        j = _turn(o, start)
+        while j != start:
+            cyc.append(j)
+            j = _turn(o, j)
+        seen.update(cyc)
+        out.append(VertexClass(tuple(cyc), len(cyc), len(cyc) >= 2))
+    return out
+
+
+def singular_sheets(o: Origami, marked: bool) -> list[bool]:
+    """Whether each sheet's lower-left corner is singular: a corner of
+    cone order >= 2, or any corner of a marked surface."""
+    sing = [False] * o.n
+    for vc in vertex_classes(o):
+        for i in vc.sheets:
+            sing[i] = marked or vc.cone_order >= 2
+    return sing
+
+
+def _primitive_pair(direction: tuple[int, int]) -> tuple[int, int]:
+    p, q = direction
+    if p < 0 or q < 0 or gcd(p, q) != 1:
+        raise ValueError(f"direction ({p}, {q}) is not primitive")
+    return p, q
 
 
 def ray_trace_oracle(
     o: Origami,
     start_sheet: int,
-    direction: Direction,
+    direction: tuple[int, int],
     s_max: int,
     marked: bool = False,
 ) -> Optional[int]:
@@ -54,10 +104,8 @@ def ray_trace_oracle(
     """
     if not 0 <= start_sheet < o.n:
         raise ValueError("start sheet out of range")
-    p, q = direction.p, direction.q
-    if not direction.is_primitive:
-        raise ValueError(f"direction ({p}, {q}) is not primitive")
-    sing = _singular_flags(o, marked)
+    p, q = _primitive_pair(direction)
+    sing = singular_sheets(o, marked)
     cur = start_sheet
     if q == 0:
         for k in range(1, s_max + 1):
@@ -93,16 +141,14 @@ def ray_trace_oracle(
                 return None
 
 
-def crossing_word(direction: Direction) -> str:
+def crossing_word(direction: tuple[int, int]) -> str:
     """Edge-crossing word of the (p, q) geodesic across one torus period.
 
     H marks a right-edge crossing, V a top-edge crossing; events at equal
     time (only the shared endpoint for a primitive direction) order H
     before V.  Exactly p H's and q V's.
     """
-    p, q = direction.p, direction.q
-    if not direction.is_primitive:
-        raise ValueError(f"direction ({p}, {q}) is not primitive")
+    p, q = _primitive_pair(direction)
     if q == 0:
         return "H" * p
     if p == 0:
@@ -126,7 +172,7 @@ def crossing_word(direction: Direction) -> str:
     return "".join(word)
 
 
-def word_monodromy(o: Origami, direction: Direction) -> tuple[int, ...]:
+def word_monodromy(o: Origami, direction: tuple[int, int]) -> tuple[int, ...]:
     """Sheet permutation after one period, letter by letter: the crossing
     word applied leftmost first (an H applies h, a V applies v)."""
     word = crossing_word(direction)

@@ -27,7 +27,6 @@ from holoset.diagnostics import covering_radius, min_gap
 from holoset.double_cover import closed_form, geometric_oracle
 from holoset.exact import QuadExt, RadicalSum
 from holoset.origami import (
-    Direction,
     DisconnectedSurfaceError,
     Origami,
     enumerate_holonomies,
@@ -85,7 +84,7 @@ def test_criterion_03_monodromy_matches_ray_tracing():
         (Origami((1, 2, 0, 4, 5, 3), (3, 1, 2, 0, 4, 5)), False),
         (Origami((1, 0, 3, 2), (2, 3, 0, 1)), True),
     ]
-    directions = [Direction(p, q) for p, q in primitive_directions(Fraction(100))]
+    directions = list(primitive_directions(Fraction(100)))
     assert len(directions) > 40
     for o, marked in cases:
         singular = [

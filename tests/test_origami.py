@@ -12,7 +12,6 @@ from holoset import origami
 from holoset.coprime import coprime_points
 from holoset.exact import PointSet, point
 from holoset.origami import (
-    Direction,
     DisconnectedSurfaceError,
     Origami,
     OrigamiFormatError,
@@ -25,6 +24,7 @@ from holoset.origami import (
 from oracles import (
     crossing_word,
     ray_trace_oracle,
+    singular_sheets,
     vertex_classes,
     word_monodromy,
 )
@@ -90,63 +90,69 @@ def test_torus_has_single_regular_vertex():
     assert not classes[0].singular
 
 
+def test_singular_flags_are_the_corners_of_cone_order_two_or_more():
+    # a corner is singular when the commutator moves it; the oracle walks
+    # the corners square by square and counts each cycle's cone order
+    rng = random.Random(25)
+    built = regular = 0
+    while built < 3000:
+        n = rng.randint(1, 12)
+        h, v = list(range(n)), list(range(n))
+        rng.shuffle(h)
+        rng.shuffle(v)
+        try:
+            o = Origami(h, v)
+        except DisconnectedSurfaceError:
+            continue
+        built += 1
+        for marked in (False, True):
+            want = singular_sheets(o, marked)
+            assert origami._singular_flags(o, marked) == want, (o, marked)
+        regular += not any(singular_sheets(o, False))
+    assert 0 < regular < built
+
+
 def test_crossing_words():
-    assert crossing_word(Direction(1, 0)) == "H"
-    assert crossing_word(Direction(0, 1)) == "V"
-    assert crossing_word(Direction(1, 1)) == "HV"
-    assert crossing_word(Direction(2, 1)) == "HHV"
-    assert crossing_word(Direction(1, 2)) == "VHV"
-    assert crossing_word(Direction(3, 2)) == "HVHHV"
+    assert crossing_word((1, 0)) == "H"
+    assert crossing_word((0, 1)) == "V"
+    assert crossing_word((1, 1)) == "HV"
+    assert crossing_word((2, 1)) == "HHV"
+    assert crossing_word((1, 2)) == "VHV"
+    assert crossing_word((3, 2)) == "HVHHV"
 
 
 def test_crossing_word_counts():
     for p, q in [(3, 4), (5, 2), (7, 1), (4, 9)]:
-        w = crossing_word(Direction(p, q))
+        w = crossing_word((p, q))
         assert w.count("H") == p and w.count("V") == q
 
 
 def test_crossing_word_rejects_non_primitive():
     with pytest.raises(ValueError):
-        crossing_word(Direction(2, 2))
+        crossing_word((2, 2))
     with pytest.raises(ValueError):
-        crossing_word(Direction(0, 3))
+        crossing_word((0, 3))
 
 
 @pytest.mark.parametrize("p, q", [(0, 0), (-1, 2), (3, -1)])
 def test_direction_validation(p, q):
-    with pytest.raises(
-        ValueError, match=r"^direction must be nonzero with p, q >= 0$"
-    ):
-        Direction(p, q)
-
-
-def test_direction_is_an_immutable_value():
-    d = Direction(2, 3)
-    assert d == Direction(p=2, q=3) and hash(d) == hash(Direction(2, 3))
-    assert d != Direction(3, 2) and d != (2, 3)
-    assert repr(d) == "Direction(p=2, q=3)"
-    assert d.is_primitive and not Direction(2, 4).is_primitive
-    for name in ("p", "q", "r"):
-        with pytest.raises(AttributeError):
-            setattr(d, name, 1)
-
-
-def test_vertex_class_is_immutable():
-    c = vertex_classes(ORIG3)[0]
-    for name in ("sheets", "cone_order", "singular"):
-        with pytest.raises(AttributeError):
-            setattr(c, name, getattr(c, name))
+    # refused before any parent is taken: a negative pair's descent never ends
+    match = r"^direction must be nonzero with p, q >= 0$"
+    with pytest.raises(ValueError, match=match):
+        monodromy(ORIG3, (p, q))
+    with pytest.raises(ValueError, match=match):
+        saddle_connections_in_direction(TORUS, (p, q))
 
 
 def test_monodromy_axis_directions():
     for o in CORPUS:
-        assert monodromy(o, Direction(1, 0)) == o.h
-        assert monodromy(o, Direction(0, 1)) == o.v
+        assert monodromy(o, (1, 0)) == o.h
+        assert monodromy(o, (0, 1)) == o.v
 
 
 def test_monodromy_diagonal():
     # word "HV" applied leftmost first: sheet i goes to v[h[i]]
-    sigma = monodromy(ORIG3, Direction(1, 1))
+    sigma = monodromy(ORIG3, (1, 1))
     assert sigma == tuple(ORIG3.v[ORIG3.h[i]] for i in range(3))
     assert sigma == (1, 2, 0)
 
@@ -170,7 +176,7 @@ def _seeded_origamis():
 
 
 def test_composed_monodromy_matches_letter_walk():
-    dirs = [Direction(p, q) for p, q in primitive_directions(2500)]
+    dirs = list(primitive_directions(2500))
     assert len(dirs) > 1000
     for o in _seeded_origamis():
         memo: dict = {}
@@ -187,13 +193,15 @@ def test_composed_monodromy_far_directions(p, q):
     # ancestors are made from a stack: a chain of 10^4 parents recurses
     # nowhere, so no RecursionError
     for o in _seeded_origamis()[:4]:
-        assert monodromy(o, Direction(p, q)) == word_monodromy(o, Direction(p, q))
+        assert monodromy(o, (p, q)) == word_monodromy(o, (p, q))
 
 
 @pytest.mark.parametrize("p, q", [(2, 2), (0, 3), (3, 0), (4, 6)])
 def test_monodromy_rejects_non_primitive(p, q):
     with pytest.raises(ValueError, match="not primitive"):
-        monodromy(ORIG3, Direction(p, q))
+        monodromy(ORIG3, (p, q))
+    with pytest.raises(ValueError, match="not primitive"):
+        saddle_connections_in_direction(TORUS, (p, q))
 
 
 def test_enumerate_composes_once_per_direction(monkeypatch):
@@ -214,21 +222,21 @@ def test_enumerate_composes_once_per_direction(monkeypatch):
 
 
 def test_saddle_connections_three_sheet_horizontal():
-    counts = saddle_connections_in_direction(ORIG3, Direction(1, 0))
+    counts = saddle_connections_in_direction(ORIG3, (1, 0))
     assert counts == Counter({1: 3})
 
 
 def test_saddle_connections_four_sheet_horizontal():
-    counts = saddle_connections_in_direction(ORIG4, Direction(1, 0))
+    counts = saddle_connections_in_direction(ORIG4, (1, 0))
     assert counts == Counter({1: 2, 2: 1})
 
 
 def test_saddle_connection_steps_bounded_by_sheet_count():
     rng = random.Random(11)
-    dirs = [Direction(p, q) for p, q in [(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (2, 3)]]
+    dirs = [(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (2, 3)]
     for o in CORPUS:
         for d in dirs:
-            if not o.has_singularities():
+            if not any(singular_sheets(o, False)):
                 continue
             for s in saddle_connections_in_direction(o, d):
                 assert 1 <= s <= o.n
@@ -237,44 +245,42 @@ def test_saddle_connection_steps_bounded_by_sheet_count():
 
 def test_torus_notice_when_unmarked():
     with pytest.warns(UserWarning, match=TORUS_NOTICE):
-        counts = saddle_connections_in_direction(TORUS, Direction(1, 0))
+        counts = saddle_connections_in_direction(TORUS, (1, 0))
     assert counts == Counter()
     with pytest.warns(UserWarning, match=TORUS_NOTICE):
         assert len(enumerate_holonomies(TORUS, 5)) == 0
 
 
 def test_torus_marked_single_step():
-    counts = saddle_connections_in_direction(TORUS, Direction(1, 0), marked=True)
+    counts = saddle_connections_in_direction(TORUS, (1, 0), marked=True)
     assert counts == Counter({1: 1})
-    assert ray_trace_oracle(TORUS, 0, Direction(1, 0), 5, marked=True) == 1
+    assert ray_trace_oracle(TORUS, 0, (1, 0), 5, marked=True) == 1
 
 
 def test_ray_trace_examples():
-    assert ray_trace_oracle(ORIG3, 0, Direction(1, 1), 10) == 1
-    assert ray_trace_oracle(ORIG4, 2, Direction(1, 0), 10) == 2
-    assert ray_trace_oracle(ORIG4, 3, Direction(1, 0), 10) is None or True
+    assert ray_trace_oracle(ORIG3, 0, (1, 1), 10) == 1
+    assert ray_trace_oracle(ORIG4, 2, (1, 0), 10) == 2
+    assert ray_trace_oracle(ORIG4, 3, (1, 0), 10) is None or True
 
 
 def test_ray_trace_from_regular_corner_matches_walk():
     # starting at the regular corner of ORIG4 the nearest singular corner
     # in direction (1,0) is one period away (sheet 0's class)
-    assert ray_trace_oracle(ORIG4, 3, Direction(1, 0), 10) == 1
+    assert ray_trace_oracle(ORIG4, 3, (1, 0), 10) == 1
 
 
 def test_sigma_method_matches_ray_trace_everywhere():
     dirs = [
-        Direction(p, q)
+        (p, q)
         for p in range(0, 11)
         for q in range(0, 11)
         if (p, q) != (0, 0) and gcd(p, q) == 1 and p * p + q * q <= 100
     ]
     for o in CORPUS:
         for marked in (False, True):
-            if not o.has_singularities(marked):
+            sing = singular_sheets(o, marked)
+            if not any(sing):
                 continue
-            sing = [
-                marked or order >= 2 for order in o._class_order_of_sheet
-            ]
             for d in dirs:
                 got = saddle_connections_in_direction(o, d, marked)
                 want: Counter = Counter()
@@ -283,7 +289,7 @@ def test_sigma_method_matches_ray_trace_everywhere():
                         s = ray_trace_oracle(o, i, d, o.n + 1, marked)
                         assert s is not None
                         want[s] += 1
-                assert got == want, (o, d.p, d.q, marked)
+                assert got == want, (o, d, marked)
 
 
 def test_primitive_directions_complete():
