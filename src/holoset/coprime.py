@@ -95,26 +95,6 @@ def solve_crt(residues: list[int], moduli: list[int]) -> int:
     return x % m
 
 
-def _json_int(v) -> int:
-    """An int that is no bool, or the decimal string ``to_json_dict``
-    writes: ``int()`` would read 2.5 as 2 and true as 1."""
-    if isinstance(v, str) and v.isascii() and v.lstrip("-").isdigit():
-        return int(v)
-    if isinstance(v, int) and not isinstance(v, bool):
-        return v
-    raise TypeError(f"not an integer: {v!r}")
-
-
-def _json_fraction(v) -> Fraction:
-    """An int that is no bool, or the "p" or "p/q" text ``to_json_dict``
-    writes: ``Fraction()`` would read true as 1 and 0.7 in binary."""
-    if isinstance(v, str) and v.count("/") == 1:
-        num, den = v.split("/")
-        if den.isascii() and den.isdigit():
-            return Fraction(_json_int(num), int(den))  # ZeroDivisionError on /0
-    return Fraction(_json_int(v))
-
-
 class HoleCertificate(NamedTuple):
     """Witness of an R-ball free of gcd <= N points.
 
@@ -152,28 +132,6 @@ class HoleCertificate(NamedTuple):
             "x": str(self.x),
             "y": str(self.y),
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "HoleCertificate":
-        try:
-            rows = data["primes"]
-            if not all(isinstance(r, list) for r in (rows, *rows)):
-                raise TypeError("primes must be a list of lists")
-            return cls(
-                max_gcd=_json_int(data["max_gcd"]),
-                radius=_json_fraction(data["radius"]),
-                n=_json_int(data["n"]),
-                primes=tuple(tuple(map(_json_int, row)) for row in rows),
-                x=_json_int(data["x"]),
-                y=_json_int(data["y"]),
-            )
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-            raise CertificateError(f"malformed certificate: {exc}") from exc
-
-    def dumps(self) -> str:
-        import json
-
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
 
 def crt_hole(max_gcd: int, radius) -> HoleCertificate:

@@ -729,9 +729,6 @@ class PlanarPoint(Immutable):
     def __iter__(self):
         return iter((self.x, self.y))
 
-    def negate(self) -> "PlanarPoint":
-        return PlanarPoint(-self.x, -self.y, self.tag)
-
     def dist_sq(self, other: "PlanarPoint") -> RadicalSum:
         diff = (self.x - other.x, self.y - other.y)
         return dot(diff, diff)
@@ -805,22 +802,6 @@ class PointSet(Immutable):
 
     def __repr__(self) -> str:
         return f"PointSet({len(self.xs)} points, d=({self.d_x},{self.d_y}))"
-
-    def __contains__(self, pt: PlanarPoint) -> bool:
-        lo, hi = 0, len(self.xs)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            c = self.xs[mid].compare(pt.x) or self.ys[mid].compare(pt.y)
-            if c == 0:
-                return True
-            if c < 0:
-                lo = mid + 1
-            else:
-                hi = mid
-        return False
-
-    def negate(self) -> "PointSet":
-        return PointSet(p.negate() for p in self.points)
 
 
 def _fill(ps: PointSet, xs, ys, tags, d_x, d_y, points) -> PointSet:

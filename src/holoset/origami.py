@@ -81,10 +81,6 @@ class Origami:
             )
 
     @classmethod
-    def torus(cls) -> "Origami":
-        return cls((0,), (0,))
-
-    @classmethod
     def from_json_dict(cls, data) -> "Origami":
         if not isinstance(data, dict):
             raise OrigamiFormatError("origami JSON must be an object")
@@ -108,20 +104,6 @@ class Origami:
             except json.JSONDecodeError as exc:
                 raise OrigamiFormatError(f"invalid JSON: {exc}") from exc
         return cls.from_json_dict(data)
-
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "h": list(self.h), "v": list(self.v)}
-
-    def __repr__(self) -> str:
-        return f"Origami(n={self.n}, h={self.h}, v={self.v})"
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Origami):
-            return NotImplemented
-        return self.h == other.h and self.v == other.v
-
-    def __hash__(self) -> int:
-        return hash((self.h, self.v))
 
     def reflect_h(self) -> "Origami":
         """The surface mirrored left-right: right-edge gluing becomes h^-1."""

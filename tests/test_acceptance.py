@@ -41,7 +41,7 @@ SQRT2 = QuadExt(0, 1, 2)
 
 def test_criterion_01_torus_identity():
     start = time.perf_counter()
-    ps = enumerate_holonomies(Origami.torus(), 50, marked=True)
+    ps = enumerate_holonomies(Origami((0,), (0,)), 50, marked=True)
     expected = coprime_points(50)
     elapsed = time.perf_counter() - start
     assert ps == expected
@@ -70,7 +70,7 @@ def test_criterion_02_gcd_containment_random_origamis():
         for p in ps.points:
             a, b = int(p.x.a), int(p.y.a)
             g = math.gcd(abs(a), abs(b))
-            assert 1 <= g <= o.n, (o, a, b)
+            assert 1 <= g <= o.n, (o.h, o.v, a, b)
             # g is the content, so (a, b) = g * primitive by construction
             assert math.gcd(abs(a) // g if a else 0, abs(b) // g if b else 0) <= 1
     assert time.perf_counter() - start < 30.0
@@ -101,7 +101,7 @@ def test_criterion_03_monodromy_matches_ray_tracing():
                 s = ray_trace_oracle(o, i, d, s_max=o.n, marked=marked)
                 assert s is not None
                 traced[s] += 1
-            assert from_sigma == traced, (o, d)
+            assert from_sigma == traced, (o.h, o.v, d)
 
 
 def test_criterion_04_coprime_density():

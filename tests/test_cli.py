@@ -207,6 +207,26 @@ def test_hole_max_gcd_two_starts_at_three(capsys):
     assert doc["verification"]["passed"] is True
 
 
+def test_hole_certificate_as_written_verifies(capsys):
+    # read with json and int() alone: each grid point (x + i, y + j) is
+    # divisible by its own prime, on an n-by-n block with 2R < n
+    assert run("hole", "--radius", "1", "--max-gcd", "2") == 0
+    doc = json.loads(capsys.readouterr().out)
+    cert = doc["certificate"]
+    assert doc["verification"]["passed"] is True
+    for key in ("x", "y"):
+        assert isinstance(cert[key], str) and cert[key].isdigit()
+    x, y, n = int(cert["x"]), int(cert["y"]), cert["n"]
+    assert (cert["radius"], cert["max_gcd"]) == ("1", 2)
+    assert 2 * int(cert["radius"]) < n
+    assert len(cert["primes"]) == n
+    for i in range(1, n + 1):
+        assert len(cert["primes"][i - 1]) == n
+        for j in range(1, n + 1):
+            p = cert["primes"][i - 1][j - 1]
+            assert (x + i) % p == 0 and (y + j) % p == 0
+
+
 def test_hole_refuses_oversized(capsys):
     assert run("hole", "--radius", "10") == 2
     err = capsys.readouterr().err

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import json
 import random
 from fractions import Fraction
 from math import gcd, isqrt, pi
@@ -8,7 +7,6 @@ from math import gcd, isqrt, pi
 import pytest
 
 from holoset.coprime import (
-    CertificateError,
     HoleCertificate,
     crt_hole,
     coprime_points,
@@ -200,16 +198,6 @@ def test_tampered_prime_grid_fails():
     assert not verify_hole(broken).passed
 
 
-def test_certificate_json_round_trip():
-    cert = crt_hole(2, 1)
-    text = cert.dumps()
-    data = json.loads(text)
-    assert isinstance(data["x"], str)  # big integers as decimal strings
-    back = HoleCertificate.from_json_dict(data)
-    assert back == cert
-    assert verify_hole(back).passed
-
-
 def test_certificate_and_report_are_immutable():
     cert = crt_hole(1, 1)
     report = verify_hole(cert)
@@ -224,70 +212,6 @@ def test_certificate_and_report_are_immutable():
         for name in names:
             with pytest.raises(AttributeError):
                 setattr(record, name, 1)
-
-
-def test_malformed_certificate_raises():
-    with pytest.raises(CertificateError):
-        HoleCertificate.from_json_dict({"n": 2})
-
-
-@pytest.mark.parametrize(
-    "field,value",
-    [
-        ("x", 119740619.9),
-        ("x", "119740619.9"),
-        ("y", " 12"),
-        ("n", 2.5),
-        ("n", True),
-        ("max_gcd", False),
-        ("primes", [[2.0, 3], [5, 7]]),
-        ("primes", ["23", "57"]),
-        ("primes", "2357"),
-        ("radius", True),
-        ("radius", 0.7),
-        ("radius", 1.0),
-        ("radius", "0.7"),
-        ("radius", "1e0"),
-        ("radius", " 1/2"),
-        ("radius", "1/-2"),
-        ("radius", "1/2/3"),
-        ("radius", "1/0"),
-        ("radius", None),
-    ],
-)
-def test_certificate_fields_are_read_as_written(field, value):
-    """JSON numbers that are no ints, bools and rows that are no lists are
-    refused, not truncated or unpacked into another certificate."""
-    data = crt_hole(1, Fraction(1, 2)).to_json_dict()
-    data[field] = value
-    with pytest.raises(CertificateError, match="^malformed certificate: "):
-        HoleCertificate.from_json_dict(data)
-
-
-def test_certificate_with_a_bool_radius_is_refused_not_verified():
-    # Fraction(True) is 1, and the radius-1 certificate would verify
-    data = crt_hole(1, 1).to_json_dict()
-    data["radius"] = True
-    with pytest.raises(CertificateError):
-        HoleCertificate.from_json_dict(data)
-
-
-@pytest.mark.parametrize(
-    "value, radius",
-    [(1, 1), ("1", 1), ("1/2", Fraction(1, 2)), ("-3/4", Fraction(-3, 4))],
-)
-def test_certificate_reads_int_and_written_radius(value, radius):
-    data = crt_hole(1, Fraction(1, 2)).to_json_dict()
-    data["radius"] = value
-    assert HoleCertificate.from_json_dict(data).radius == radius
-
-
-def test_certificate_reads_ints_and_integer_strings():
-    cert = crt_hole(1, Fraction(1, 2))
-    data = cert.to_json_dict()
-    data.update(x=cert.x, y=str(cert.y), n=str(cert.n), max_gcd="1")
-    data["primes"] = [[str(p) for p in row] for row in cert.primes]
-    assert HoleCertificate.from_json_dict(data) == cert
 
 
 def test_ball_is_actually_empty_of_small_gcd_points():

@@ -508,20 +508,23 @@ def test_min_gap_subtracts_once_per_pair_of_coordinate_objects(
     # the CSV reader shares each distinct coordinate, so the float-tied
     # pairs of the example set use 62 distinct x pairs and 62 y pairs; one
     # subtraction per pair of objects keys them (it was two per tied pair,
-    # 1,910 in all)
+    # 1,910 in all).  closed_form shares them too: one object per value.
     from holoset import cli
 
     path = tmp_path / "example.csv"
     assert cli.main(["example", "--radius", "16", "--out", str(path)]) == 0
     with open(path, newline="") as f:
         ps = read_pointset_csv(f)
+    built = closed_form(None, 16)
     calls = []
     sub = QuadExt.__sub__
     monkeypatch.setattr(QuadExt, "__sub__", lambda a, b: calls.append(1) or sub(a, b))
     res = min_gap(ps)
     assert len(calls) <= 130
+    calls.clear()
+    assert min_gap(built) == res
+    assert len(calls) <= 130
     monkeypatch.undo()
-    assert res == min_gap(closed_form(None, 16))
     assert res.gap == pytest.approx(0.4933250905622992, abs=1e-15)
     assert [(p.x, p.y, p.tag) for p in res.pair] == [
         (QuadExt(-14, -1, 2), QuadExt(-2, -1, 3), "VU"),

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -57,8 +56,9 @@ def test_loader_detects_disconnected():
 
 def test_json_round_trip(tmp_path):
     path = tmp_path / "o.json"
-    path.write_text(json.dumps(ORIG4.to_json_dict()))
-    assert Origami.from_path(path) == ORIG4
+    path.write_text('{"n": 4, "h": [1, 2, 3, 0], "v": [1, 0, 2, 3]}')
+    o = Origami.from_path(path)
+    assert (o.n, o.h, o.v) == (ORIG4.n, ORIG4.h, ORIG4.v)
 
 
 def test_vertex_classes_three_sheets():
@@ -107,7 +107,7 @@ def test_singular_flags_are_the_corners_of_cone_order_two_or_more():
         built += 1
         for marked in (False, True):
             want = singular_sheets(o, marked)
-            assert origami._singular_flags(o, marked) == want, (o, marked)
+            assert origami._singular_flags(o, marked) == want, (o.h, o.v, marked)
         regular += not any(singular_sheets(o, False))
     assert 0 < regular < built
 
@@ -182,10 +182,10 @@ def test_composed_monodromy_matches_letter_walk():
         memo: dict = {}
         for d in dirs:
             want = word_monodromy(o, d)
-            assert monodromy(o, d, memo) == want, (o, d)
+            assert monodromy(o, d, memo) == want, (o.h, o.v, d)
         # without a memo, in another order: each call from scratch
         for d in dirs[::97]:
-            assert monodromy(o, d) == word_monodromy(o, d), (o, d)
+            assert monodromy(o, d) == word_monodromy(o, d), (o.h, o.v, d)
 
 
 @pytest.mark.parametrize("p, q", [(1, 10**4), (9999, 10**4), (10**4, 1)])
@@ -232,7 +232,6 @@ def test_saddle_connections_four_sheet_horizontal():
 
 
 def test_saddle_connection_steps_bounded_by_sheet_count():
-    rng = random.Random(11)
     dirs = [(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (2, 3)]
     for o in CORPUS:
         for d in dirs:
@@ -240,7 +239,6 @@ def test_saddle_connection_steps_bounded_by_sheet_count():
                 continue
             for s in saddle_connections_in_direction(o, d):
                 assert 1 <= s <= o.n
-    del rng
 
 
 def test_torus_notice_when_unmarked():
@@ -260,7 +258,6 @@ def test_torus_marked_single_step():
 def test_ray_trace_examples():
     assert ray_trace_oracle(ORIG3, 0, (1, 1), 10) == 1
     assert ray_trace_oracle(ORIG4, 2, (1, 0), 10) == 2
-    assert ray_trace_oracle(ORIG4, 3, (1, 0), 10) is None or True
 
 
 def test_ray_trace_from_regular_corner_matches_walk():
@@ -289,7 +286,7 @@ def test_sigma_method_matches_ray_trace_everywhere():
                         s = ray_trace_oracle(o, i, d, o.n + 1, marked)
                         assert s is not None
                         want[s] += 1
-                assert got == want, (o, d, marked)
+                assert got == want, (o.h, o.v, d, marked)
 
 
 def test_primitive_directions_complete():
@@ -316,7 +313,8 @@ def test_enumerate_holonomies_four_sheet():
 def test_enumerate_closed_under_negation():
     for o in (ORIG3, ORIG4, ORIG6):
         ps = enumerate_holonomies(o, 4)
-        assert ps.negate() == ps
+        pairs = set(zip(ps.xs, ps.ys))
+        assert {(-x, -y) for x, y in pairs} == pairs
         assert len(ps) > 0
 
 
