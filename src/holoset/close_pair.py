@@ -282,20 +282,19 @@ def _parse_width(obj, key: str) -> Fraction:
         raise ConfigError(f"missing or malformed width {key!r}") from None
 
 
-def load_cylinder_pair(source) -> tuple[Cylinder, Cylinder]:
-    """Read a cylinder pair from a JSON file path or a parsed dict.
+def load_cylinder_pair(path) -> tuple[Cylinder, Cylinder]:
+    """Read a cylinder pair from the JSON object in the file at path.
 
     Coordinates are exact-number strings (rational or a+b*sqrt(d) form);
     widths are decimal or rational strings.
     """
-    if isinstance(source, (str, bytes)):
-        import json
+    import json
 
-        with open(source, "r", encoding="utf-8-sig") as fh:
-            try:
-                source = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"invalid JSON: {exc}") from None
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        try:
+            source = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"invalid JSON: {exc}") from None
     if not isinstance(source, dict):
         raise ConfigError("configuration must be a JSON object")
     try:

@@ -222,9 +222,11 @@ def covering_radius(
 
     Centers are spaced `resolution` apart starting at the window's lower
     left corner; the reported radius is within resolution*sqrt(2) of the
-    true largest-empty-disk radius over the window.  Ties go to the
-    first center in x-major order.  Grids of more than COVER_GRID_CAP
-    centers raise ValueError.
+    true largest-empty-disk radius over the window.  Distances are
+    compared as floats, so among centers at exactly the same true
+    distance the one whose float rounds highest is reported; x-major
+    order breaks only ties between equal floats.  Grids of more than
+    COVER_GRID_CAP centers raise ValueError.
 
     The result is that of querying every center, each distance
     sqrt(dx*dx + dy*dy) in floats.  The search halves square blocks of

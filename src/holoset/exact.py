@@ -15,9 +15,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
-from itertools import chain, compress, islice, repeat
+from itertools import chain, compress, repeat
 from math import gcd, inf, isqrt, prod, ulp
-from operator import is_not, lt
+from operator import is_not
 from typing import Iterable, Iterator, Optional, Union
 
 RationalLike = Union[int, Fraction]
@@ -140,7 +140,7 @@ def _radical_bits(num: int, den: int, precision_bits: int) -> int:
     return precision_bits + 8 + max(0, abs(num).bit_length() - den.bit_length() + 1)
 
 
-def _surd_float(A: int, B: int, q: int, d: int, bits: int = 53) -> tuple[float, float]:
+def _surd_float(A: int, B: int, q: int, d: int) -> tuple[float, float]:
     """:meth:`QuadExt.to_float` of (A + B*sqrt(d))/q, q > 0, in any terms:
     the midpoint a + b*(2s+1)/2**k of :meth:`RadicalSum.approx`, as one
     int quotient, correctly rounded as ``float(Fraction)`` is whatever the
@@ -155,7 +155,7 @@ def _surd_float(A: int, B: int, q: int, d: int, bits: int = 53) -> tuple[float, 
             return value, 0.0
         return value, abs(value) * 2.0**-52 + 5e-324
     g = gcd(B, q)
-    m = _radical_bits(B // g, q // g, bits)
+    m = _radical_bits(B // g, q // g, 53)
     s, k = _isqrt_shifted(d, m), m + 1
     value = ((A << k) + B * (2 * s + 1)) / (q << k)
     err = abs(B) / (q << k)
@@ -354,23 +354,20 @@ class QuadExt(Immutable):
 
     # -- approximation ---------------------------------------------------
 
-    def to_float(self, precision_bits: int = 53) -> tuple[float, float]:
+    def to_float(self) -> tuple[float, float]:
         """Floating value with a conservative absolute error bound, so a
         certified bracket [value - bound, value + bound] of the element:
-        ``GeneralRadicalSum.of(self).to_float(precision_bits)`` of the test
-        oracles (``tests/oracles.py``), from the integers (see
-        :func:`_surd_float`), the 53-bit one kept by an irrational:
-        ``float()``, so the CSV float column, and the float filters of
-        ``double_cover`` and ``diagnostics`` share it.  ``compare`` and the
-        ``PointSet`` sort take no float.  Raises OverflowError beyond the
-        float range.
+        ``GeneralRadicalSum.of(self).to_float(53)`` of the test oracles
+        (``tests/oracles.py``), from the integers (see
+        :func:`_surd_float`), kept by an irrational: ``float()``, so the
+        CSV float column, and the float filters of ``double_cover`` and
+        ``diagnostics`` share it.  ``compare`` and the ``PointSet`` sort
+        take no float.  Raises OverflowError beyond the float range.
         """
-        if precision_bits == 53 and self._fb is not None:
+        if self._fb is not None:
             return self._fb
-        if precision_bits < 24:
-            raise ValueError("precision_bits must be >= 24")
-        fb = _surd_float(self.A, self.B, self.q, self.d, precision_bits)
-        if precision_bits == 53 and self.B:
+        fb = _surd_float(self.A, self.B, self.q, self.d)
+        if self.B:
             _setattr(self, "_fb", fb)
         return fb
 
@@ -747,15 +744,14 @@ def point(x, y, tag: Optional[str] = None) -> PlanarPoint:
 class PointSet(Immutable):
     """Finite planar point set in canonical (lexicographic) order.
 
-    Duplicate coordinates are merged (keeping the smallest tag), and the
-    ambient coordinate fields (d_x, d_y) are derived from the data: at most
-    one nontrivial radical may appear per coordinate axis.  The set is
+    Duplicate coordinates are merged (keeping the smallest tag), and at
+    most one nontrivial radical may appear per coordinate axis.  The set is
     stored as columns, the tuples xs, ys and tags; its PlanarPoints are
     built when ``points``, iteration or indexing first needs them, and a
     set built from points keeps those very objects.
     """
 
-    __slots__ = ("xs", "ys", "tags", "d_x", "d_y", "_points")
+    __slots__ = ("xs", "ys", "tags", "_points")
 
     xs: tuple[QuadExt, ...]
     ys: tuple[QuadExt, ...]
@@ -765,21 +761,21 @@ class PointSet(Immutable):
         pts = list(points)
         xs = [p.x for p in pts]
         ys = [p.y for p in pts]
-        d_x, d_y, keys = _canonical_keys(xs, ys)
-        # sorted in C unless increasing; merged only when a key repeats
-        if not all(map(lt, keys, islice(keys, 1, None))):
+        # one key per point, its coordinates' ranks; merged only when one repeats
+        keys = list(zip(_ranks(xs, "x"), _ranks(ys, "y")))
+        if len(set(keys)) < len(keys):
+            order = _merge_duplicates(keys, pts)
+        else:
             order = sorted(range(len(keys)), key=keys.__getitem__)
-            if len(set(keys)) < len(keys):
-                order = _merge_duplicates(order, keys, pts)
-            pts, xs, ys = ([seq[i] for i in order] for seq in (pts, xs, ys))
-        _fill(self, tuple(xs), tuple(ys), tuple(p.tag for p in pts), d_x, d_y, tuple(pts))
+        pts, xs, ys = ([seq[i] for i in order] for seq in (pts, xs, ys))
+        _fill(self, tuple(xs), tuple(ys), tuple(p.tag for p in pts), tuple(pts))
 
     @classmethod
     def _from_columns(cls, xs: tuple, ys: tuple, tags: tuple) -> "PointSet":
-        """The set of rational columns that are in canonical order already,
-        with no duplicate: nothing is checked or sorted, and no PlanarPoint
-        is built."""
-        return _fill(_new(cls), xs, ys, tags, 1, 1, None)
+        """The set of columns that are in canonical order already, with no
+        duplicate: nothing is checked or sorted, and no PlanarPoint is
+        built."""
+        return _fill(_new(cls), xs, ys, tags, None)
 
     @property
     def points(self) -> tuple[PlanarPoint, ...]:
@@ -789,7 +785,7 @@ class PointSet(Immutable):
         return self._points
 
     def _values(self) -> tuple:
-        return self.xs, self.ys, self.d_x, self.d_y
+        return self.xs, self.ys
 
     def __len__(self) -> int:
         return len(self.xs)
@@ -801,63 +797,42 @@ class PointSet(Immutable):
         return self.points[i]
 
     def __repr__(self) -> str:
-        return f"PointSet({len(self.xs)} points, d=({self.d_x},{self.d_y}))"
+        return f"PointSet({len(self.xs)} points)"
 
 
-def _fill(ps: PointSet, xs, ys, tags, d_x, d_y, points) -> PointSet:
-    for name, value in zip(PointSet.__slots__, (xs, ys, tags, d_x, d_y, points)):
+def _fill(ps: PointSet, xs, ys, tags, points) -> PointSet:
+    for name, value in zip(PointSet.__slots__, (xs, ys, tags, points)):
         _setattr(ps, name, value)
     return ps
 
 
-def _merge_duplicates(order: list[int], keys: list[tuple], pts) -> list[int]:
-    """order with each run of equal keys merged into one index: the point
-    with the smallest tag (no tag is the largest), the first on a tie."""
-    kept: list[int] = []
-    last = None  # the key of pts[kept[-1]]; no key is None
+def _merge_duplicates(keys: list[tuple], pts) -> list[int]:
+    """The indices of pts in key order, one per key: a stable sort puts
+    the smallest tag first among equal keys (no tag is the largest, the
+    first point wins a tie), and the first of each key is kept."""
+    tags = [p.tag for p in pts]
+    order = sorted(range(len(keys)),
+                   key=lambda i: (keys[i], tags[i] is None, tags[i] or ""))
+    first: dict[tuple, int] = {}
     for i in order:
-        if keys[i] == last:
-            t, u = pts[i].tag, pts[kept[-1]].tag
-            if t is not None and (u is None or t < u):
-                kept[-1] = i
-        else:
-            kept.append(i)
-            last = keys[i]
-    return kept
+        first.setdefault(keys[i], i)
+    return list(first.values())
 
 
-def _ambient_d(ds: set[int], axis: str) -> int:
-    ds.discard(1)
+def _one_radical(us, axis: str) -> None:
+    ds = {u.d for u in us} - {1}
     if len(ds) > 1:
-        raise FieldMismatchError(
-            f"{axis}-coordinates mix radicals {sorted(ds)}"
-        )
-    return ds.pop() if ds else 1
+        raise FieldMismatchError(f"{axis}-coordinates mix radicals {sorted(ds)}")
 
 
-def _canonical_keys(
-    xs: list[QuadExt], ys: list[QuadExt]
-) -> tuple[int, int, list[tuple]]:
-    """The ambient radicals d_x and d_y, from one pass over the
-    radicands, and one key per point that orders and tests equal as the
-    point does: with no radical, its coordinates, each an int when it is an
-    integer; else the ranks :func:`_ranks` gives them on their axes."""
-    d_x = _ambient_d({u.d for u in xs}, "x")
-    d_y = _ambient_d({u.d for u in ys}, "y")
-    if d_x != 1 or d_y != 1:
-        return d_x, d_y, list(zip(_ranks(xs), _ranks(ys)))
-    return 1, 1, [(x.A if x.q == 1 else Fraction(x.A, x.q),
-                   y.A if y.q == 1 else Fraction(y.A, y.q)) for x, y in zip(xs, ys)]
-
-
-def _ranks(us: list[QuadExt]) -> list[int]:
-    """Each value's rank among the distinct values of us, which share one
-    field or are rational: a comparison sort by :func:`_compare`, from
-    integers alone, of each distinct value once, found once per distinct
-    object (QuadExt hashes and tests equal by value).
-    """
+def _ranks(us: list[QuadExt], axis: str) -> list[int]:
+    """Each value's rank among the distinct values of us (one radical at
+    most, else FieldMismatchError): a comparison sort by :func:`_compare`,
+    from integers alone, of each distinct value once, found once per
+    distinct object (QuadExt hashes and tests equal by value)."""
     ids = list(map(id, us))
     objs = dict(zip(ids, us))
+    _one_radical(objs.values(), axis)
     ordered = sorted(set(objs.values()), key=cmp_to_key(_compare))
     rank = {u: i for i, u in enumerate(ordered)}
     by_id = {k: rank[u] for k, u in objs.items()}

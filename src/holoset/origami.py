@@ -232,6 +232,6 @@ def enumerate_holonomies(o: Origami, radius, marked: bool = False) -> PointSet:
                     x, y = sx * s * p, s * q
                     pts.add((x, y))
                     pts.add((-x, -y))
-    # sorted, so PointSet only checks the order; one QuadExt per integer
+    # sorted, so PointSet's sort takes linear time; one QuadExt per integer
     lift = {k: QuadExt(k) for k in {c for xy in pts for c in xy}}
     return PointSet(point(lift[x], lift[y]) for x, y in sorted(pts))

@@ -414,8 +414,14 @@ CONFIG = {
 }
 
 
-def test_load_cylinder_pair_dict():
-    ci, cj = load_cylinder_pair(CONFIG)
+def _write_config(tmp_path, config) -> str:
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+def test_load_cylinder_pair_dict(tmp_path):
+    ci, cj = load_cylinder_pair(_write_config(tmp_path, CONFIG))
     assert ci.width == Fraction(1, 50)
     assert cj.width == Fraction(1, 50)
     assert cj.circumference[0] == QuadExt(0, 1, 2)
@@ -424,32 +430,40 @@ def test_load_cylinder_pair_dict():
 
 
 def test_load_cylinder_pair_file(tmp_path):
-    path = tmp_path / "pair.json"
-    path.write_text(json.dumps(CONFIG))
-    ci, cj = load_cylinder_pair(str(path))
+    ci, cj = load_cylinder_pair(_write_config(tmp_path, CONFIG))
     assert ci.crossing[0] == Fraction(1, 3)
 
 
+def test_load_cylinder_pair_reads_a_path_object(tmp_path):
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(CONFIG))
+    ci, cj = load_cylinder_pair(path)
+    assert (ci.crossing[0], cj.circumference[0]) == (Fraction(1, 3), QuadExt(0, 1, 2))
+
+
 def test_load_cylinder_pair_errors(tmp_path):
-    with pytest.raises(ConfigError):
-        load_cylinder_pair([1, 2])
+    def load(config):
+        return load_cylinder_pair(_write_config(tmp_path, config))
+
+    with pytest.raises(ConfigError, match="^configuration must be a JSON object$"):
+        load([1, 2])
     bad = dict(CONFIG)
     del bad["w"]
     with pytest.raises(ConfigError):
-        load_cylinder_pair(bad)
+        load(bad)
     bad = dict(CONFIG)
     bad["h"] = ["1/3", "nonsense"]
     with pytest.raises(ConfigError):
-        load_cylinder_pair(bad)
+        load(bad)
     # a vector is a JSON array of two entries, not any iterable of two
     for vec in ("10", {"1": 0, "0": 1}, ["1"], ["1", "0", "0"], None):
         bad = dict(CONFIG, l=vec)
         with pytest.raises(ConfigError, match="^missing or malformed vector 'l'$"):
-            load_cylinder_pair(bad)
+            load(bad)
     bad = dict(CONFIG)
     bad["w"] = "1/49"
     with pytest.raises(ConfigError):
-        load_cylinder_pair(bad)
+        load(bad)
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     with pytest.raises(ConfigError):

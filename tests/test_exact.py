@@ -84,13 +84,13 @@ def test_quad_sign_examples():
 
 
 def test_to_float_zero():
-    value, err = QuadExt(0, 0, 2).to_float(53)
+    value, err = QuadExt(0, 0, 2).to_float()
     assert value == 0.0
     assert err == 0.0
 
 
 def test_to_float_sqrt2_shift():
-    value, err = QuadExt(-1, 1, 2).to_float(53)
+    value, err = QuadExt(-1, 1, 2).to_float()
     assert abs(value - 0.41421356237309515) < 1e-15
     assert err <= 1e-15
 
@@ -110,9 +110,9 @@ def _count_to_float_calls(monkeypatch) -> list:
     calls = []
     original = QuadExt.to_float
 
-    def spy(self, precision_bits=53):
+    def spy(self):
         calls.append(self)
-        return original(self, precision_bits)
+        return original(self)
 
     monkeypatch.setattr(QuadExt, "to_float", spy)
     return calls
@@ -169,7 +169,7 @@ def test_sign_agrees_with_113_bit_floats():
             Fraction(rng.randint(-500, 500), rng.randint(1, 60)),
             rng.choice(SQUAREFREE),
         )
-        value, err = u.to_float(113)
+        value, err = GeneralRadicalSum.of(u).to_float(113)
         if abs(value) > err:
             want = 1 if value > 0 else -1
             assert u.sign() == want
@@ -515,10 +515,8 @@ def test_to_float_keeps_only_its_53_bit_irrational_bracket():
         assert (u._fb is got) == (not u.is_rational)
         assert u.to_float() == got and float(u) == got[0]
     u = QuadExt(1, 1, 2)
-    want = {bits: u.to_float(bits) for bits in (24, 53, 113)}
-    object.__setattr__(u, "_fb", (1.0, 0.5))  # the slot is what 53 bits read
-    assert u.to_float() == u.to_float(53) == (1.0, 0.5)
-    assert u.to_float(24) == want[24] and u.to_float(113) == want[113]
+    object.__setattr__(u, "_fb", (1.0, 0.5))  # the slot is what to_float reads
+    assert u.to_float() == (1.0, 0.5) and float(u) == 1.0
 
 
 # -- RadicalSum ---------------------------------------------------------------
@@ -724,11 +722,10 @@ def test_pointset_mixed_fields_sort_exactly():
     assert ps[0] == point(0, 0)
     assert ps[1] == t  # 0.414... sorts between 0 and 1
     assert ps[2] == point(1, 0)
-    assert (ps.d_x, ps.d_y) == (2, 3)
 
 
 def test_pointset_rejects_mixed_radicals_on_one_axis():
-    with pytest.raises(FieldMismatchError):
+    with pytest.raises(FieldMismatchError, match=r"^x-coordinates mix radicals \[2, 3\]$"):
         PointSet(
             [
                 PlanarPoint(QuadExt(0, 1, 2), QuadExt(0)),
@@ -1000,10 +997,10 @@ def test_pointset_sorts_without_merging_when_no_key_repeats(monkeypatch):
            for x in range(-6, 7) for y in range(-3, 4)]
     rng.shuffle(pts)
     got = PointSet(pts).points
-    assert not calls  # sorted, and no two keys equal: no merge loop
+    assert not calls  # no two keys equal: no merge
     want = _reference_points(pts)
     assert all(g is w for g, w in zip(got, want)) and len(got) == len(want)
-    # equal values with other tags: the loop runs and keeps the smallest
+    # equal values with other tags: the merge runs and keeps the smallest
     twins = [PlanarPoint(_fresh(p.x), _fresh(p.y), "a") for p in pts[::5]]
     given = pts + twins
     rng.shuffle(given)
@@ -1017,24 +1014,20 @@ def test_pointset_sorts_without_merging_when_no_key_repeats(monkeypatch):
 
 def test_radical_set_builds_no_rational_key(monkeypatch):
     # rational points with non-integer coordinates and one radical point:
-    # the radicands are scanned before any key is built, so the Fractions
-    # made (rational QuadExts hash as theirs) do not depend on where the
-    # radical point stands; 800 rational keys built and thrown away would
+    # every set is ordered by rank keys, so the rational points come out in
+    # one order wherever the radical point stands, and in the same order
+    # when it is absent
     rational = [point(Fraction(k, 2), Fraction(-k, 3)) for k in range(1, 401)]
     radical = PlanarPoint(QuadExt(0, 1, 2), QuadExt(1))
-    made = []
-    monkeypatch.setattr(exact, "Fraction", lambda *a: made.append(a) or Fraction(*a))
-    counts = []
-    for pts in (rational + [radical], [radical] + rational):
-        made.clear()
+    for pts in (rational + [radical], [radical] + rational, rational):
         got = PointSet(pts).points
-        counts.append(len(made))
         want = _reference_points(pts)
         assert all(g is w for g, w in zip(got, want)) and len(got) == len(want)
-    assert counts[0] == counts[1]
+        assert [p for p in got if p is not radical] == _reference_points(rational)
     # integer coordinates rank and hash as ints: no Fraction at all
+    made = []
+    monkeypatch.setattr(exact, "Fraction", lambda *a: made.append(a) or Fraction(*a))
     pts = [PlanarPoint(k + QuadExt(0, 1, 2), QuadExt(k % 7)) for k in range(400)]
-    made.clear()
     assert len(PointSet(pts)) == 400 and made == []
 
 
